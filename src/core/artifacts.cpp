@@ -129,8 +129,6 @@ WorkloadSpec::hash() const
 uint64_t
 optionsHash(const BarrierPointOptions &options)
 {
-    // threads is intentionally left out: results are bit-identical
-    // for any worker count (see the determinism contract).
     Serializer s;
     s.u32(static_cast<uint32_t>(options.signature.kind));
     s.f64(options.signature.ldvWeightInvV);

@@ -87,9 +87,9 @@ struct WorkloadSpec
 /**
  * Content hash of everything in @p options that changes the analysis
  * *result*: signature and clustering configuration plus the
- * significance threshold. `options.threads` is deliberately excluded
- * — results are bit-identical for any worker count, so an artifact
- * computed at one thread count is valid at every other.
+ * significance threshold. Parallelism is not hashed: results are
+ * bit-identical for any ExecutionContext, so an artifact computed at
+ * one thread count is valid at every other.
  *
  * Embedded in AnalysisArtifact/RunResultArtifact so a stale artifact
  * (same workload, different knobs) is detected and recomputed instead

@@ -167,6 +167,42 @@ lloyd(const std::vector<std::vector<double>> &points,
     return result;
 }
 
+/** Factor rescaling @p weights to n_points effective samples. */
+double
+effectiveSampleScale(uint64_t n_points, const std::vector<double> &weights)
+{
+    double total_weight = 0.0;
+    for (const double w : weights)
+        total_weight += w;
+    BP_ASSERT(total_weight > 0.0, "BIC requires positive total weight");
+    return static_cast<double>(n_points) / total_weight;
+}
+
+/** The BIC from per-cluster effective counts and the scaled SSE. */
+double
+bicFromScaled(uint64_t n_points, size_t dim_in,
+              const std::vector<double> &cluster_n, double sse)
+{
+    const double n = static_cast<double>(n_points);
+    const double dim = static_cast<double>(dim_in);
+    const unsigned k = static_cast<unsigned>(cluster_n.size());
+
+    const double denom = std::max(1.0, n - static_cast<double>(k));
+    const double sigma2 = std::max(sse / (dim * denom), 1e-12);
+
+    double log_likelihood = 0.0;
+    for (unsigned c = 0; c < k; ++c) {
+        if (cluster_n[c] <= 0.0)
+            continue;
+        log_likelihood += cluster_n[c] * std::log(cluster_n[c] / n);
+    }
+    log_likelihood -= n * dim / 2.0 * std::log(2.0 * M_PI * sigma2);
+    log_likelihood -= dim * (n - k) / 2.0;
+
+    const double params = static_cast<double>(k) * (dim + 1.0);
+    return log_likelihood - params / 2.0 * std::log(n);
+}
+
 } // namespace
 
 KMeansResult
@@ -196,18 +232,11 @@ bicScore(const std::vector<std::vector<double>> &points,
          const std::vector<double> &weights, const KMeansResult &result)
 {
     const size_t n_points = points.size();
-    const double dim = static_cast<double>(points[0].size());
-    const unsigned k = result.k;
+    const double weight_scale = effectiveSampleScale(n_points, weights);
 
-    // Normalize weights to behave like n_points effective samples.
-    double total_weight = 0.0;
-    for (const double w : weights)
-        total_weight += w;
-    BP_ASSERT(total_weight > 0.0, "BIC requires positive total weight");
-    const double n = static_cast<double>(n_points);
-    const double weight_scale = n / total_weight;
-
-    std::vector<double> cluster_n(k, 0.0);
+    // Scale each point's weight before accumulating: this order is the
+    // batch path's bit-identity pin.
+    std::vector<double> cluster_n(result.k, 0.0);
     double sse = 0.0;
     for (size_t i = 0; i < n_points; ++i) {
         const double w = weights[i] * weight_scale;
@@ -215,21 +244,7 @@ bicScore(const std::vector<std::vector<double>> &points,
         sse += w * squaredDistance(points[i],
                                    result.centroids[result.assignment[i]]);
     }
-
-    const double denom = std::max(1.0, n - static_cast<double>(k));
-    const double sigma2 = std::max(sse / (dim * denom), 1e-12);
-
-    double log_likelihood = 0.0;
-    for (unsigned c = 0; c < k; ++c) {
-        if (cluster_n[c] <= 0.0)
-            continue;
-        log_likelihood += cluster_n[c] * std::log(cluster_n[c] / n);
-    }
-    log_likelihood -= n * dim / 2.0 * std::log(2.0 * M_PI * sigma2);
-    log_likelihood -= dim * (n - k) / 2.0;
-
-    const double params = static_cast<double>(k) * (dim + 1.0);
-    return log_likelihood - params / 2.0 * std::log(n);
+    return bicFromScaled(n_points, points[0].size(), cluster_n, sse);
 }
 
 ClusteringResult
@@ -288,40 +303,19 @@ chooseKByBic(const std::vector<double> &bic_by_k, double threshold)
 }
 
 double
-bicFromStats(uint64_t n_points, unsigned dim_in,
+bicFromStats(uint64_t n_points, unsigned dim,
              const std::vector<double> &cluster_weight, double weighted_sse)
 {
-    const unsigned k = static_cast<unsigned>(cluster_weight.size());
-    const double dim = static_cast<double>(dim_in);
-
-    double total_weight = 0.0;
-    for (const double w : cluster_weight)
-        total_weight += w;
-    BP_ASSERT(total_weight > 0.0, "BIC requires positive total weight");
-
-    // Same normalization as bicScore(): weights behave like n_points
-    // effective samples. Scaling the aggregates instead of each point
-    // gives a (tolerably) different rounding, which is fine here —
-    // streaming scores are only ever compared with each other.
-    const double n = static_cast<double>(n_points);
-    const double weight_scale = n / total_weight;
-    const double sse = weighted_sse * weight_scale;
-
-    const double denom = std::max(1.0, n - static_cast<double>(k));
-    const double sigma2 = std::max(sse / (dim * denom), 1e-12);
-
-    double log_likelihood = 0.0;
-    for (unsigned c = 0; c < k; ++c) {
-        const double cluster_n = cluster_weight[c] * weight_scale;
-        if (cluster_n <= 0.0)
-            continue;
-        log_likelihood += cluster_n * std::log(cluster_n / n);
-    }
-    log_likelihood -= n * dim / 2.0 * std::log(2.0 * M_PI * sigma2);
-    log_likelihood -= dim * (n - k) / 2.0;
-
-    const double params = static_cast<double>(k) * (dim + 1.0);
-    return log_likelihood - params / 2.0 * std::log(n);
+    // Scaling the aggregates instead of each point gives a (tolerably)
+    // different rounding than bicScore(), which is fine here: streaming
+    // scores are only ever compared with each other.
+    const double weight_scale =
+        effectiveSampleScale(n_points, cluster_weight);
+    std::vector<double> cluster_n(cluster_weight.size());
+    for (size_t c = 0; c < cluster_n.size(); ++c)
+        cluster_n[c] = cluster_weight[c] * weight_scale;
+    return bicFromScaled(n_points, dim, cluster_n,
+                         weighted_sse * weight_scale);
 }
 
 MiniBatchLloyd::MiniBatchLloyd(std::vector<std::vector<double>> centroids,

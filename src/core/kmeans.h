@@ -102,11 +102,6 @@ unsigned chooseKByBic(const std::vector<double> &bic_by_k,
  * materialized point set: per-cluster total weight plus the total
  * weighted SSE are enough. Used by the streaming analyzer, whose
  * passes accumulate exactly these statistics in region order.
- *
- * (Kept separate from bicScore() on purpose: folding the weight
- * normalization into the per-point loop there would change its
- * floating-point accumulation order and break the batch path's
- * bit-identity pin.)
  */
 double bicFromStats(uint64_t n_points, unsigned dim,
                     const std::vector<double> &cluster_weight,

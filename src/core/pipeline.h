@@ -61,17 +61,6 @@ struct BarrierPointOptions
     /** Reuse-distance collection mode (exact, or SHARDS-sampled). */
     ProfilingConfig profiling;
     double significance = 0.001;  ///< Table III's 0.1 % threshold
-
-    /**
-     * Pipeline workers (0 = hardware) — consulted ONLY by the
-     * overloads that build their own ExecutionContext. The (options,
-     * exec) overloads and bp::Experiment draw parallelism from the
-     * context they are given instead; they warn when a non-default
-     * thread count conflicts with the context's, since results are
-     * bit-identical either way but the worker count is not what this
-     * field says.
-     */
-    unsigned threads = 1;
 };
 
 /**
@@ -131,29 +120,20 @@ std::vector<std::vector<double>> projectProfiles(
 
 /**
  * Run the full analysis on existing profiles (lets callers sweep
- * signature/clustering settings without re-profiling). Runs
- * options.threads workers.
+ * signature/clustering settings without re-profiling).
  */
 BarrierPointAnalysis analyzeProfiles(
     const std::vector<RegionProfile> &profiles,
-    const BarrierPointOptions &options = {});
-
-/** As above, on an existing context (options.threads is ignored). */
-BarrierPointAnalysis analyzeProfiles(
-    const std::vector<RegionProfile> &profiles,
-    const BarrierPointOptions &options, const ExecutionContext &exec);
+    const BarrierPointOptions &options = {},
+    const ExecutionContext &exec = {});
 
 /**
- * Convenience: profile + analyze in one call. One pool of
- * options.threads workers is shared by every stage.
+ * Convenience: profile + analyze in one call, every stage sharing
+ * @p exec's pool.
  */
 BarrierPointAnalysis analyzeWorkload(const Workload &workload,
-                                     const BarrierPointOptions &options = {});
-
-/** As above, on an existing context (options.threads is ignored). */
-BarrierPointAnalysis analyzeWorkload(const Workload &workload,
-                                     const BarrierPointOptions &options,
-                                     const ExecutionContext &exec);
+                                     const BarrierPointOptions &options = {},
+                                     const ExecutionContext &exec = {});
 
 /** Detailed simulation of the complete application (the reference). */
 RunResult runReference(const Workload &workload,

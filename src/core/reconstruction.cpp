@@ -25,6 +25,7 @@ reconstruct(const BarrierPointAnalysis &analysis,
 {
     BP_ASSERT(point_stats.size() == analysis.points.size(),
               "need one stats record per barrierpoint");
+    BP_ASSERT(!analysis.indexError(), "inconsistent analysis indices");
 
     // Without multiplier scaling, each barrierpoint stands in for its
     // cluster's regions without correcting for length differences.
@@ -57,6 +58,7 @@ reconstructTimeline(const BarrierPointAnalysis &analysis,
 {
     BP_ASSERT(point_stats.size() == analysis.points.size(),
               "need one stats record per barrierpoint");
+    BP_ASSERT(!analysis.indexError(), "inconsistent analysis indices");
 
     std::vector<ReconstructedRegion> timeline;
     timeline.reserve(analysis.regionToPoint.size());

@@ -77,13 +77,26 @@ struct BarrierPointAnalysis
      */
     double resourceReduction() const;
 
-    /** Bit-exact round trip: doubles travel as IEEE-754 images. */
+    /**
+     * Why the cross-indices are inconsistent, or nullptr when they are
+     * not: regionToPoint must be sized like regionInstructions and
+     * name existing points, and every point's region must exist.
+     */
+    const char *indexError() const;
+
+    /**
+     * Bit-exact round trip: doubles travel as IEEE-754 images.
+     * deserialize() throws SerializeError on inconsistent indices, so
+     * a checksum-valid but forged artifact never reaches simulation.
+     */
     void serialize(Serializer &s) const;
     void deserialize(Deserializer &d);
 };
 
 /**
- * Pick representatives and compute multipliers.
+ * Pick representatives and compute multipliers: the
+ * ClusterSelectionState passes over in-memory points, then
+ * finalizeSelection().
  *
  * @param clustering           assignment of regions to clusters
  * @param points               projected signatures (for proximity)
@@ -101,12 +114,13 @@ BarrierPointAnalysis selectBarrierPoints(
 constexpr unsigned kNoClusterPoint = 0xFFFFFFFFu;
 
 /**
- * Per-cluster running state for streaming representative selection —
- * the bounded-memory replacement for scanning a full signature
- * matrix. The batch policy (nearest-to-centroid, near-ties resolved
- * to the median occurrence, zero-instruction representatives re-picked
- * among nonzero members) is preserved exactly, restructured as three
- * O(1)-memory passes over the point stream in region order:
+ * Per-cluster running state of the one representative-selection
+ * policy, shared by selectBarrierPoints() and the streaming analyzer
+ * (core/streaming.h). The representative is the member nearest the
+ * centroid; near-ties resolve to the median occurrence, and a
+ * zero-instruction pick is replaced by the best nonzero member when
+ * the cluster has instructions. The policy runs as three
+ * O(1)-memory passes over the regions in region order:
  *
  *   1. observeDistance()  -> final best distances + cluster mass
  *   2. observeTieCount()  -> how many members near-tie that best
@@ -125,7 +139,7 @@ struct ClusterSelectionState
     double bestDist = 0.0;
     double bestDistNonzero = 0.0;
     uint64_t instructions = 0;  ///< aggregate cluster instruction count
-    double weight = 0.0;        ///< aggregate cluster weight
+    double weight = 0.0;        ///< aggregate weight (streaming BIC)
     bool hasMember = false;
     bool hasNonzero = false;    ///< any member with instructions > 0
 
@@ -151,17 +165,16 @@ struct ClusterSelectionState
 };
 
 /**
- * Build the analysis from finished per-cluster selection states: the
- * streaming counterpart of selectBarrierPoints()'s emission half.
- * Multipliers, weight fractions, significance, and the
- * ordered-by-representative-region emission match the batch policy.
+ * Build the analysis from finished per-cluster selection states:
+ * multipliers, weight fractions and significance, with barrierpoints
+ * emitted in representative-region order.
  *
  * regionToPoint is sized to the region count but left for the caller
- * to fill (it needs one more assignment pass over the point stream);
+ * to fill (it needs one more assignment pass over the regions);
  * @p cluster_to_point receives the cluster -> points-index map for
  * that pass, kNoClusterPoint for clusters without members.
  */
-BarrierPointAnalysis finalizeStreamingSelection(
+BarrierPointAnalysis finalizeSelection(
     const std::vector<ClusterSelectionState> &clusters,
     std::vector<uint64_t> region_instructions,
     std::vector<double> bic_by_k, double significance,

@@ -303,8 +303,7 @@ StreamingAnalyzer::finish()
         scores[chosen - 1].clusters;
 
     // Selection sweeps for the chosen model only: count the near-ties
-    // of each cluster's best distance, then pick the median tie —
-    // the batch policy, restructured as O(1)-memory passes.
+    // of each cluster's best distance, then pick the median tie.
     forEachBatch([&](const double *pts, uint32_t first, size_t count) {
         for (size_t i = 0; i < count; ++i) {
             double dist = 0.0;
@@ -323,7 +322,7 @@ StreamingAnalyzer::finish()
     });
 
     std::vector<unsigned> cluster_to_point;
-    BarrierPointAnalysis analysis = finalizeStreamingSelection(
+    BarrierPointAnalysis analysis = finalizeSelection(
         clusters, std::move(regionInstructions_), std::move(bic_by_k),
         options_.significance, cluster_to_point);
 

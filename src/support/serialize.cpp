@@ -219,10 +219,7 @@ Deserializer::expectEnd() const
 uint64_t
 fnv1aHash(const uint8_t *data, size_t size)
 {
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < size; ++i)
-        hash = (hash ^ data[i]) * 0x100000001b3ull;
-    return hash;
+    return fnv1aUpdate(kFnv1aBasis, data, size);
 }
 
 bool

@@ -95,6 +95,22 @@ class Deserializer
     size_t pos_ = 0;
 };
 
+/** 64-bit FNV-1a offset basis, for incremental checksumming. */
+constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/**
+ * Continue a 64-bit FNV-1a hash over @p size more bytes: the one
+ * checksum of artifacts and .bptrace traces. Inline because trace
+ * recording folds in every record as it is written.
+ */
+inline uint64_t
+fnv1aUpdate(uint64_t hash, const uint8_t *data, size_t size)
+{
+    for (size_t i = 0; i < size; ++i)
+        hash = (hash ^ data[i]) * 0x100000001b3ull;
+    return hash;
+}
+
 /** 64-bit FNV-1a hash (the artifact payload checksum). */
 uint64_t fnv1aHash(const uint8_t *data, size_t size);
 

@@ -13,7 +13,7 @@ encodeTraceHeader(uint8_t *out, const TraceHeader &header)
     leStore32(out + 12, 0);  // reserved
     leStore64(out + 16, header.regionCount);
     leStore64(out + 24, header.indexOffset);
-    leStore64(out + 32, traceFnvUpdate(kTraceFnvBasis, out, 32));
+    leStore64(out + 32, fnv1aUpdate(kFnv1aBasis, out, 32));
 }
 
 TraceHeader
@@ -26,7 +26,7 @@ decodeTraceHeader(const uint8_t *in, const std::string &path)
         throw TraceError("'" + path + "' has unsupported trace version " +
                          std::to_string(version) + " (this build reads " +
                          std::to_string(kTraceVersion) + ")");
-    if (leLoad64(in + 32) != traceFnvUpdate(kTraceFnvBasis, in, 32))
+    if (leLoad64(in + 32) != fnv1aUpdate(kFnv1aBasis, in, 32))
         throw TraceError("'" + path +
                          "' has a corrupt or unfinalized trace header "
                          "(checksum mismatch)");

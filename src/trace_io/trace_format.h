@@ -162,18 +162,6 @@ leLoad64(const uint8_t *in)
     return v;
 }
 
-/** FNV-1a offset basis, for incremental checksumming. */
-constexpr uint64_t kTraceFnvBasis = 0xcbf29ce484222325ull;
-
-/** Continue an FNV-1a hash over @p size more bytes. */
-inline uint64_t
-traceFnvUpdate(uint64_t hash, const uint8_t *data, size_t size)
-{
-    for (size_t i = 0; i < size; ++i)
-        hash = (hash ^ data[i]) * 0x100000001b3ull;
-    return hash;
-}
-
 /** Encode @p record into kTraceRecordBytes at @p out. */
 inline void
 encodeTraceRecord(uint8_t *out, const TraceRecord &record)

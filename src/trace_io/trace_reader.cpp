@@ -86,7 +86,7 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
         const uint64_t index_size =
             header_.regionCount * kTraceIndexEntryBytes;
         const uint64_t index_fnv =
-            traceFnvUpdate(kTraceFnvBasis, index_bytes, index_size);
+            fnv1aUpdate(kFnv1aBasis, index_bytes, index_size);
         if (leLoad64(index_bytes + index_size) != index_fnv)
             throw TraceError("'" + path +
                              "' has a corrupt trace region index "
@@ -136,10 +136,9 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
 
         // Header + index (which embeds every region's payload
         // checksum) pin down the whole file's content.
-        contentHash_ = traceFnvUpdate(kTraceFnvBasis, data_,
-                                      kTraceHeaderBytes);
-        contentHash_ = traceFnvUpdate(contentHash_, index_bytes,
-                                      index_size + kTraceTrailerBytes);
+        contentHash_ = fnv1aUpdate(kFnv1aBasis, data_, kTraceHeaderBytes);
+        contentHash_ = fnv1aUpdate(contentHash_, index_bytes,
+                                   index_size + kTraceTrailerBytes);
     } catch (...) {
         ::munmap(const_cast<uint8_t *>(data_), size_);
         data_ = nullptr;
@@ -161,7 +160,7 @@ TraceReader::scanRegion(uint64_t index,
     const TraceRegionIndexEntry &entry = index_[index];
     const uint8_t *bytes = data_ + entry.offset;
     const uint64_t size = entry.count * kTraceRecordBytes;
-    if (traceFnvUpdate(kTraceFnvBasis, bytes, size) != entry.checksum)
+    if (fnv1aUpdate(kFnv1aBasis, bytes, size) != entry.checksum)
         throw TraceError("'" + path_ + "' trace region " +
                          std::to_string(index) +
                          " is corrupt (payload checksum mismatch)");

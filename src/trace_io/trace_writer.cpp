@@ -54,7 +54,7 @@ TraceWriter::writeRecordBytes(const uint8_t *bytes, size_t size)
 {
     if (std::fwrite(bytes, 1, size, file_) != size)
         throw TraceError("short write to trace file '" + path_ + "'");
-    regionFnv_ = traceFnvUpdate(regionFnv_, bytes, size);
+    regionFnv_ = fnv1aUpdate(regionFnv_, bytes, size);
     fileOffset_ += size;
 }
 
@@ -110,7 +110,7 @@ TraceWriter::endRegion()
     entry.checksum = regionFnv_;
     index_.push_back(entry);
     regionStart_ = fileOffset_;
-    regionFnv_ = kTraceFnvBasis;
+    regionFnv_ = kFnv1aBasis;
 }
 
 void
@@ -142,13 +142,13 @@ TraceWriter::close()
     }
 
     const uint64_t index_offset = fileOffset_;
-    uint64_t index_fnv = kTraceFnvBasis;
+    uint64_t index_fnv = kFnv1aBasis;
     for (const TraceRegionIndexEntry &entry : index_) {
         uint8_t bytes[kTraceIndexEntryBytes];
         leStore64(bytes, entry.offset);
         leStore64(bytes + 8, entry.count);
         leStore64(bytes + 16, entry.checksum);
-        index_fnv = traceFnvUpdate(index_fnv, bytes, sizeof(bytes));
+        index_fnv = fnv1aUpdate(index_fnv, bytes, sizeof(bytes));
         ok = ok && std::fwrite(bytes, 1, sizeof(bytes), file) ==
                        sizeof(bytes);
     }

@@ -216,6 +216,41 @@ TEST(ArtifactsTest, MismatchedKindIsRejected)
 }
 
 /**
+ * A checksum-valid artifact with an out-of-range index is rejected on
+ * load: saveArtifact() writes a correct checksum, so only the
+ * semantic check stands between a forged file and a silently wrong
+ * estimate.
+ */
+TEST(ArtifactsTest, ForgedAnalysisIndicesAreRejected)
+{
+    const WorkloadSpec spec = smallSpec();
+    const auto workload = spec.instantiate();
+    AnalysisArtifact valid;
+    valid.workload = spec;
+    valid.analysis = analyzeWorkload(*workload);
+    ASSERT_FALSE(valid.analysis.points.empty());
+
+    const auto expectRejected = [&](const AnalysisArtifact &artifact) {
+        TempFile file("artifact_forged_analysis.bp");
+        saveArtifact(file.path(), artifact);
+        EXPECT_THROW(loadAnalysisArtifact(file.path()), SerializeError);
+    };
+
+    AnalysisArtifact forged = valid;
+    forged.analysis.points[0].region = 1000000000u;
+    expectRejected(forged);
+
+    forged = valid;
+    forged.analysis.regionToPoint[0] =
+        static_cast<unsigned>(forged.analysis.points.size());
+    expectRejected(forged);
+
+    forged = valid;
+    forged.analysis.regionToPoint.pop_back();
+    expectRejected(forged);
+}
+
+/**
  * The PR's acceptance criterion: the artifact chain
  * profile -> save -> load -> analyze -> save -> load -> simulate ->
  * save -> load -> reconstruct produces an Estimate bit-identical to

@@ -76,14 +76,13 @@ expectIdenticalStats(const std::vector<RegionStats> &a,
 TEST(DeterminismTest, AnalyzeWorkloadIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
-    BarrierPointOptions serial;
-    serial.threads = 1;
-    const auto reference = analyzeWorkload(*wl, serial);
+    const BarrierPointOptions options;
+    const auto reference =
+        analyzeWorkload(*wl, options, ExecutionContext(1));
 
     for (const unsigned threads : {2u, 8u}) {
-        BarrierPointOptions parallel;
-        parallel.threads = threads;
-        const auto candidate = analyzeWorkload(*wl, parallel);
+        const auto candidate =
+            analyzeWorkload(*wl, options, ExecutionContext(threads));
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalAnalyses(reference, candidate);
     }
@@ -144,12 +143,10 @@ TEST(DeterminismTest, RealWorkloadAnalysisIdenticalSerialVsParallel)
     params.scale = 0.1;
     const auto wl = makeWorkload("npb-cg", params);
 
-    BarrierPointOptions serial;
-    serial.threads = 1;
-    BarrierPointOptions parallel;
-    parallel.threads = 8;
-    expectIdenticalAnalyses(analyzeWorkload(*wl, serial),
-                            analyzeWorkload(*wl, parallel));
+    const BarrierPointOptions options;
+    expectIdenticalAnalyses(
+        analyzeWorkload(*wl, options, ExecutionContext(1)),
+        analyzeWorkload(*wl, options, ExecutionContext(8)));
 }
 
 } // namespace

@@ -486,13 +486,9 @@ TEST(ExperimentDeathTest, UndersizedMachineIsFatal)
         ::testing::ExitedWithCode(1), "pick a machine");
 }
 
-TEST(ExperimentTest, OptionsHashIgnoresThreadsOnly)
+TEST(ExperimentTest, OptionsHashTracksAnalysisKnobs)
 {
     BarrierPointOptions base;
-    BarrierPointOptions threaded = base;
-    threaded.threads = 16;
-    EXPECT_EQ(optionsHash(base), optionsHash(threaded));
-
     BarrierPointOptions different = base;
     different.clustering.maxK += 1;
     EXPECT_NE(optionsHash(base), optionsHash(different));

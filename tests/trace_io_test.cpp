@@ -84,15 +84,15 @@ refreshChecksums(std::vector<uint8_t> &bytes)
         const uint64_t offset = leLoad64(entry);
         const uint64_t count = leLoad64(entry + 8);
         leStore64(entry + 16,
-                  traceFnvUpdate(kTraceFnvBasis, bytes.data() + offset,
-                                 count * kTraceRecordBytes));
+                  fnv1aUpdate(kFnv1aBasis, bytes.data() + offset,
+                              count * kTraceRecordBytes));
     }
     leStore64(bytes.data() + index_offset +
                   region_count * kTraceIndexEntryBytes,
-              traceFnvUpdate(kTraceFnvBasis, bytes.data() + index_offset,
-                             region_count * kTraceIndexEntryBytes));
+              fnv1aUpdate(kFnv1aBasis, bytes.data() + index_offset,
+                          region_count * kTraceIndexEntryBytes));
     leStore64(bytes.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bytes.data(), 32));
+              fnv1aUpdate(kFnv1aBasis, bytes.data(), 32));
 }
 
 /** Randomized multi-thread regions with a deterministic seed. */
@@ -234,7 +234,7 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     bad = good;
     leStore32(bad.data() + 4, kTraceVersion + 1);
     leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+              fnv1aUpdate(kFnv1aBasis, bad.data(), 32));
     expectThrowContaining(bad, "unsupported trace version");
 
     bad = good;
@@ -248,13 +248,13 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     bad = good;
     leStore32(bad.data() + 12, 1);  // reserved field
     leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+              fnv1aUpdate(kFnv1aBasis, bad.data(), 32));
     expectThrowContaining(bad, "reserved");
 
     bad = good;
     leStore32(bad.data() + 8, 0);  // zero threads
     leStore64(bad.data() + 32,
-              traceFnvUpdate(kTraceFnvBasis, bad.data(), 32));
+              fnv1aUpdate(kFnv1aBasis, bad.data(), 32));
     expectThrowContaining(bad, "threads");
 
     // Index trailer checksum.
