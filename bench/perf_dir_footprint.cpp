@@ -1,47 +1,75 @@
 /**
  * @file
- * Coherence-directory memory footprint across machine widths: drives
- * an identical sharing-heavy synthetic stream through MemSystem at 8
- * to 1024 cores and reports live directory lines and bytes per line
+ * Coherence-directory footprint across machine widths: drives an
+ * identical sharing-heavy synthetic stream through MemSystem at 8 to
+ * 1024 cores and reports live directory lines, the home map's slot
+ * bytes per line and the core-valid words held in the L3 ways
  * (MemSystem::dirFootprint()).
  *
- * This is the cost side of the SharerSet two-level representation:
- * a flat CoreSet<1024> in every DirEntry would charge 128 bytes of
- * sharer mask per line to every machine, including the 8-core one.
- * The sparse sharded form keeps narrow machines at one shard and
- * only grows on lines that are actually shared across sockets.
+ * Private sharers live in a 64-bit core-valid word in each L3 way, so
+ * a home map slot holds only the line, its socket mask and the
+ * owner's socket: its size does not grow with the number of sharers,
+ * and the L3 words cost a fixed 8 bytes per way whatever the sharing
+ * pattern. A single-socket machine keeps no home map.
  *
  * Numbers are recorded in bench/BASELINE.md; regenerate with
- * ./build/bench/perf_dir_footprint
+ * ./build/bench/perf_dir_footprint. With --check, exit 1 unless every
+ * width tracks exactly its recorded line count and its home map
+ * costs no more bytes per line than recorded (both are deterministic:
+ * so are the stream, the coherence model and the map's growth).
  */
 
 #include <cstdio>
+#include <cstring>
 
 #include "src/memsys/mem_system.h"
 #include "src/support/rng.h"
 
+namespace {
+
+struct Width
+{
+    unsigned cores;
+    unsigned long long recordedLines;
+    double recordedBytesPerLine;  ///< rounded up to one decimal
+};
+
+constexpr Width kWidths[] = {{8, 7624, 0.0},
+                             {64, 36864, 71.2},
+                             {256, 135168, 77.6},
+                             {1024, 528384, 79.4}};
+
+} // namespace
+
 int
-main()
+main(int argc, char **argv)
 {
     using namespace bp;
 
-    std::printf("%8s %10s %12s %14s\n", "cores", "sockets",
-                "dir lines", "bytes/line");
-    for (const unsigned cores : {8u, 64u, 256u, 1024u}) {
+    const bool check = argc == 2 && std::strcmp(argv[1], "--check") == 0;
+    if (argc > 1 && !check) {
+        std::fprintf(stderr, "usage: perf_dir_footprint [--check]\n");
+        return 2;
+    }
+
+    bool ok = true;
+    std::printf("%8s %10s %12s %14s %14s\n", "cores", "sockets",
+                "dir lines", "bytes/line", "L3 word MB");
+    for (const Width &width : kWidths) {
         MemSystemConfig cfg;
-        cfg.numCores = cores;
+        cfg.numCores = width.cores;
         cfg.coresPerSocket = 8;
         MemSystem mem(cfg);
 
         // Same per-core access recipe at every width: a widely shared
-        // read-mostly region (directory entries with many sharers), a
+        // read-mostly region (lines with many sharers), a
         // neighbour-shared band, and a private band per core. Streams
         // scale with the core count, so wider machines hold more
         // lines; bytes/line isolates the per-entry cost.
         Rng rng(0xD17F007);
         constexpr uint64_t kSharedLines = 4096;
         constexpr uint64_t kPrivateLines = 512;
-        for (unsigned core = 0; core < cores; ++core) {
+        for (unsigned core = 0; core < width.cores; ++core) {
             for (uint64_t i = 0; i < kSharedLines / 4; ++i) {
                 const uint64_t line = rng.nextBounded(kSharedLines);
                 mem.access(core, line * 64, rng.nextBounded(16) == 0,
@@ -57,10 +85,23 @@ main()
         }
 
         const auto fp = mem.dirFootprint();
-        std::printf("%8u %10u %12llu %14.1f\n", cores,
+        std::printf("%8u %10u %12llu %14.1f %14.1f\n", width.cores,
                     cfg.numSockets(),
                     static_cast<unsigned long long>(fp.lines),
-                    fp.bytesPerLine);
+                    fp.bytesPerLine,
+                    static_cast<double>(fp.wayBytes) / (1 << 20));
+        if (fp.lines != width.recordedLines) {
+            std::printf("  directory lines differ from the recorded %llu\n",
+                        width.recordedLines);
+            ok = false;
+        }
+        if (fp.bytesPerLine > width.recordedBytesPerLine) {
+            std::printf("  bytes/line exceeds the recorded %.1f\n",
+                        width.recordedBytesPerLine);
+            ok = false;
+        }
     }
-    return 0;
+    if (check)
+        std::printf("check: %s\n", ok ? "ok" : "FAILED");
+    return check && !ok ? 1 : 0;
 }

@@ -52,8 +52,9 @@ class StressWorkload : public Workload
 
     unsigned regionCount() const override { return regions_; }
 
+  private:
     RegionTrace
-    generateRegion(unsigned index) const override
+    generate(unsigned index) const override
     {
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);

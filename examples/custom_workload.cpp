@@ -29,8 +29,9 @@ class MiniMd final : public Workload
 
     unsigned regionCount() const override { return 1 + 60 * 2; }
 
+  private:
     RegionTrace
-    generateRegion(unsigned index) const override
+    generate(unsigned index) const override
     {
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);

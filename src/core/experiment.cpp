@@ -610,28 +610,16 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
                 p.snapshots = &snapshots(*p.machine);
         }
 
-        // One flat (machine x barrierpoint) fan-out on the shared
-        // pool: every job runs the same simulateBarrierPoint() kernel
-        // as simulateBarrierPoints() and writes only its own slot, so
-        // results are bit-identical to per-machine simulate() calls
-        // while short per-machine tails overlap.
-        const size_t npoints = a.points.size();
-        std::vector<RegionStats> flat(pending.size() * npoints);
-        exec_.pool().parallelFor(
-            0, flat.size(), [&](uint64_t idx) {
-                const size_t mi = static_cast<size_t>(idx / npoints);
-                const size_t j = static_cast<size_t>(idx % npoints);
-                const Pending &p = pending[mi];
-                flat[idx] = simulateBarrierPoint(*workload_, *p.machine,
-                                                 a, j, p.snapshots);
-            });
-
+        // One fan-out over every (machine, barrierpoint) pair on the
+        // shared pool: results are bit-identical to per-machine
+        // simulate() calls while short per-machine tails overlap.
+        std::vector<MachineJob> jobs;
+        for (const Pending &p : pending)
+            jobs.push_back({p.machine, p.snapshots});
+        auto stats = simulateMachines(*workload_, a, jobs, exec_);
         for (size_t mi = 0; mi < pending.size(); ++mi) {
-            std::vector<RegionStats> stats(
-                std::make_move_iterator(flat.begin() + mi * npoints),
-                std::make_move_iterator(flat.begin() + (mi + 1) * npoints));
             storeResult(pending[mi].key, *pending[mi].machine, policy,
-                        std::move(stats));
+                        std::move(stats[mi]));
         }
     }
 

@@ -1,7 +1,9 @@
 #include "src/core/pipeline.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "src/profile/mru_tracker.h"
@@ -293,12 +295,14 @@ captureAnalysisSnapshots(const Workload &workload,
                                mruPrivateLines(machine));
 }
 
+namespace {
+
+/** simulateBarrierPoint() on @p sim, which must be cold. */
 RegionStats
-simulateBarrierPoint(const Workload &workload, const MachineConfig &machine,
-                     const BarrierPointAnalysis &analysis,
-                     size_t point_index, const MruSnapshotSet *snapshots)
+runBarrierPoint(MultiCoreSim &sim, const Workload &workload,
+                const BarrierPointAnalysis &analysis, size_t point_index,
+                const MruSnapshotSet *snapshots)
 {
-    MultiCoreSim sim(machine);
     const RegionTrace trace =
         workload.generateRegion(analysis.points[point_index].region);
     if (snapshots) {
@@ -306,6 +310,51 @@ simulateBarrierPoint(const Workload &workload, const MachineConfig &machine,
         sim.trainPredictors(trace);
     }
     return sim.simulateRegion(trace);
+}
+
+} // namespace
+
+RegionStats
+simulateBarrierPoint(const Workload &workload, const MachineConfig &machine,
+                     const BarrierPointAnalysis &analysis,
+                     size_t point_index, const MruSnapshotSet *snapshots)
+{
+    MultiCoreSim sim(machine);
+    return runBarrierPoint(sim, workload, analysis, point_index, snapshots);
+}
+
+std::vector<std::vector<RegionStats>>
+simulateMachines(const Workload &workload,
+                 const BarrierPointAnalysis &analysis,
+                 const std::vector<MachineJob> &jobs,
+                 const ExecutionContext &exec)
+{
+    const size_t points = analysis.points.size();
+    const size_t total = jobs.size() * points;
+    std::vector<std::vector<RegionStats>> stats(
+        jobs.size(), std::vector<RegionStats>(points));
+    // Executors claim (machine, point) pairs in order, so each moves
+    // through the machines once; every pair's stats land in its own
+    // slot, whichever executor ran it.
+    std::atomic<size_t> next{0};
+    exec.pool().parallelFor(
+        0, std::min<size_t>(exec.threadCount(), total), [&](uint64_t) {
+            std::optional<MultiCoreSim> sim;
+            size_t sim_job = 0;
+            for (size_t pair = next++; pair < total; pair = next++) {
+                const size_t m = pair / points;
+                const size_t j = pair % points;
+                if (sim && sim_job == m) {
+                    sim->reset();
+                } else {
+                    sim.emplace(*jobs[m].machine);
+                    sim_job = m;
+                }
+                stats[m][j] = runBarrierPoint(*sim, workload, analysis, j,
+                                              jobs[m].snapshots);
+            }
+        });
+    return stats;
 }
 
 std::vector<RegionStats>
@@ -318,14 +367,8 @@ simulateBarrierPoints(const Workload &workload, const MachineConfig &machine,
             workload, machine, analysis,
             captureAnalysisSnapshots(workload, machine, analysis), exec);
     }
-
-    // Every barrierpoint gets a fresh MultiCoreSim and its own trace,
-    // so the per-point loop is embarrassingly parallel; stats land in
-    // their analysis.points slot regardless of completion order.
-    return exec.pool().parallelMap<RegionStats>(
-        analysis.points.size(), [&](size_t j) {
-            return simulateBarrierPoint(workload, machine, analysis, j);
-        });
+    return std::move(
+        simulateMachines(workload, analysis, {{&machine, nullptr}}, exec)[0]);
 }
 
 std::vector<RegionStats>
@@ -342,11 +385,8 @@ simulateBarrierPoints(const Workload &workload, const MachineConfig &machine,
               "barrierpoints; the snapshot set was captured for a "
               "different analysis",
               snapshots.size(), analysis.points.size());
-    return exec.pool().parallelMap<RegionStats>(
-        analysis.points.size(), [&](size_t j) {
-            return simulateBarrierPoint(workload, machine, analysis, j,
-                                        &snapshots);
-        });
+    return std::move(simulateMachines(workload, analysis,
+                                      {{&machine, &snapshots}}, exec)[0]);
 }
 
 } // namespace bp

@@ -195,9 +195,8 @@ MruSnapshotSet captureAnalysisSnapshots(const Workload &workload,
 
 /**
  * Detailed-simulate one barrierpoint of @p analysis on a fresh
- * machine: the shared per-point kernel of both simulateBarrierPoints
- * overloads and Experiment::sweep(), so every path produces
- * bit-identical stats by construction. @p snapshots selects the
+ * machine: the per-point steps every simulation path runs, so all of
+ * them produce bit-identical stats. @p snapshots selects the
  * warmup: nullptr starts cold; non-null replays
  * (*snapshots)[point_index] and trains the branch predictors.
  */
@@ -207,16 +206,38 @@ RegionStats simulateBarrierPoint(const Workload &workload,
                                  size_t point_index,
                                  const MruSnapshotSet *snapshots = nullptr);
 
+/** A machine for simulateMachines(), with its warmup data. */
+struct MachineJob
+{
+    const MachineConfig *machine;
+    const MruSnapshotSet *snapshots;  ///< nullptr: start cold
+};
+
+/**
+ * Simulate every barrierpoint of @p analysis on each machine of
+ * @p jobs, in one fan-out over all (machine, point) pairs so that
+ * short per-machine tails overlap on a multi-executor @p exec.
+ * out[m][j] is bit-identical to simulateBarrierPoint(workload,
+ * *jobs[m].machine, analysis, j, jobs[m].snapshots). Each executor
+ * keeps one MultiCoreSim and reset()s it between points of the same
+ * machine, which restores a fresh machine's state without allocating
+ * and faulting in its cache arrays again.
+ */
+std::vector<std::vector<RegionStats>> simulateMachines(
+    const Workload &workload, const BarrierPointAnalysis &analysis,
+    const std::vector<MachineJob> &jobs, const ExecutionContext &exec = {});
+
 /**
  * Simulate every barrierpoint in isolation on @p machine.
  *
- * Each barrierpoint gets a fresh machine; with WarmupPolicy::MruReplay
- * the caches are first reconstructed from profiling-time MRU data.
+ * Each barrierpoint starts on a cold machine; with
+ * WarmupPolicy::MruReplay the caches are first reconstructed from
+ * profiling-time MRU data.
  *
- * Because every barrierpoint runs on its own fresh MultiCoreSim, the
- * per-point loop is embarrassingly parallel; a multi-executor @p exec
- * simulates barrierpoints concurrently (snapshot capture stays
- * serial) with stats collected in analysis.points order.
+ * Because every barrierpoint starts cold, the per-point loop is
+ * embarrassingly parallel; a multi-executor @p exec simulates
+ * barrierpoints concurrently (snapshot capture stays serial) with
+ * stats collected in analysis.points order (see simulateMachines()).
  *
  * @return stats indexed like analysis.points
  */

@@ -8,12 +8,30 @@
  *   - per socket: DRAM channel with fixed latency plus a bandwidth
  *     queueing model (64 B transfers at the configured GB/s)
  *
- * Coherence is a line-granularity MSI directory: the directory tracks
- * which cores may hold a line privately (core mask), which sockets
- * hold it in L3 (socket mask), and the single Modified owner if any.
+ * Coherence is a line-granularity MSI directory, stored the way an
+ * inclusive hierarchy stores it in hardware:
+ *   - In the L3 ways. Each L3 way (DirectoryWay) carries its socket's
+ *     directory state for the line: a 64-bit core-valid word with one
+ *     bit per core of the socket, set exactly while the line is in
+ *     that core's L2; the Modified owner, if it is in this socket; and
+ *     a flag saying another socket's L3 may hold the line too.
+ *     Inclusion guarantees the L3 way exists whenever a core of the
+ *     socket holds the line, so a private miss finds the line's
+ *     sharers in the set it scans anyway, and an L3 eviction hands the
+ *     core-valid word back with the victim.
+ *   - A home map (FlatMap, one entry per line held by any L3) with the
+ *     socket mask of L3 holders and, for a line in two or more L3s,
+ *     the socket recording its owner. It is read on L3 misses and,
+ *     for lines flagged as held by another socket, on stores and
+ *     downgrades; lines private to one socket never consult it. A
+ *     single-socket machine keeps no home map: its L3 is the whole
+ *     directory.
+ * Invalidation visits holders socket by socket in ascending order,
+ * then cores ascending within a socket: ascending global core order.
  * Stores to shared lines invalidate remote copies; reads of remotely
  * modified lines downgrade the owner to Shared and reflect the dirty
- * data to memory (a simple, valid MSI variant).
+ * data to memory (a simple, valid MSI variant). checkInvariants()
+ * verifies the directory against the cache contents.
  *
  * The L1-I cache is configured for completeness but modelled as ideal:
  * the synthetic workloads' code footprints fit comfortably in a 32 KB
@@ -24,12 +42,12 @@
 #define BP_MEMSYS_MEM_SYSTEM_H
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "src/memsys/cache.h"
 #include "src/support/core_set.h"
+#include "src/support/flat_map.h"
 
 namespace bp {
 
@@ -166,55 +184,100 @@ class MemSystem
     /** @return MSI state of @p line in a core's L1-D (testing hook). */
     LineState l1State(unsigned core, uint64_t line_addr) const;
 
+    /**
+     * Check the directory against the caches (testing hook):
+     *   - L1 within L2 within the own socket's L3, per core;
+     *   - a core-valid bit is set exactly when the line is in that
+     *     core's L2;
+     *   - each home socket mask equals the set of L3s holding the line,
+     *     and a way not flagged as shared is the line's only L3 copy;
+     *   - an owner holds the line Modified in its L2, with its bit set,
+     *     a line has at most one owner, and the home entry of a line in
+     *     two or more L3s names the owner's socket;
+     *   - no home entry has an empty socket mask.
+     *
+     * @return a description of the first violation, or "" when all hold.
+     */
+    std::string checkInvariants() const;
+
     /** Directory footprint snapshot (bench/BASELINE hook). */
     struct DirFootprint
     {
-        uint64_t lines = 0;      ///< lines with directory state
-        double bytesPerLine = 0; ///< avg bytes per tracked line
+        uint64_t lines = 0;      ///< distinct lines held by any L3
+        double bytesPerLine = 0; ///< home map slot bytes / lines (0: none)
+        uint64_t wayBytes = 0;   ///< directory state in all L3 ways
     };
     DirFootprint dirFootprint() const;
 
   private:
-    /**
-     * Directory entry for one line. Private holders are tracked with
-     * the two-level SharerSet (socket summary + exact per-socket
-     * words), so invalidation walks only sockets that hold the line
-     * and per-line state stays compact at kMaxCores width.
-     */
-    struct DirEntry
+    /** Home directory entry of a line held by at least one L3. */
+    struct HomeEntry
     {
-        SharerSet cores;               ///< cores holding the line (L1/L2)
-        CoreSet<kMaxSockets> sockets;  ///< sockets holding the line in L3
-        int16_t owner = -1;            ///< core with the Modified copy
+        CoreSet<kMaxSockets> sockets;  ///< sockets holding it in L3
+        /**
+         * While two or more sockets hold the line: the socket whose L3
+         * way may record its owner, or -1. Owners only appear on lines
+         * held by one socket, so this is set when a second socket joins
+         * and cleared when that owner is downgraded or its socket's
+         * copy goes; an owner lost to an L2 eviction may leave it stale.
+         */
+        int16_t ownerSocket = -1;
     };
-    static_assert(kMaxCores <= INT16_MAX,
-                  "owner must be able to index every core");
+    static_assert(kMaxCoresPerSocket <= 64,
+                  "a socket's cores must fit DirectoryWay's sharers and owner");
 
-    /** @return a core's sharer-bit index within its socket's shard. */
+    /** @return a core's bit in its socket's core-valid word. */
     unsigned
     bitInSocket(unsigned core) const
     {
         return core % config_.coresPerSocket;
     }
 
-    DirEntry &dirEntry(uint64_t line);
-    DirEntry *findDir(uint64_t line);
-    void maybeEraseDir(uint64_t line);
-
     /** Remove a line from one core's L1+L2; @return true if dirty. */
     bool invalidateCore(unsigned core, uint64_t line);
 
-    /** Downgrade a Modified owner to Shared, reflecting data to memory. */
-    void downgradeOwner(unsigned owner, uint64_t line, double now);
+    /**
+     * Remove @p line from the cores of @p socket named in @p word.
+     * @return true when any of the removed copies was dirty.
+     */
+    bool invalidateCores(unsigned socket, uint64_t word, uint64_t line);
 
-    /** Invalidate every holder except @p requester; @return remote seen. */
-    bool invalidateSharers(unsigned requester, uint64_t line, double now);
+    /**
+     * Invalidate every copy except @p requester's; other sockets lose
+     * their L3 copies too. @p way3 is the line's way in the requester's
+     * L3, or -1; when it holds the line, the requester becomes owner.
+     *
+     * @return true when a copy in another socket was invalidated.
+     */
+    bool invalidateSharers(unsigned requester, uint64_t line, int way3,
+                           double now);
+
+    /**
+     * Downgrade the line's Modified owner, if it has one, to Shared.
+     * The requester of @p socket holds no private copy, so the owner
+     * is another core, in this socket or in another holder of the line.
+     *
+     * @param way3 the line's way in the requester's L3, or -1
+     * @param home home entry of the line, or null when not consulted
+     * @return true when an owner was downgraded.
+     */
+    bool downgradeOwner(unsigned socket, uint64_t line, int way3,
+                        HomeEntry *home);
+
+    /**
+     * Record that @p socket's L3 now holds @p line in @p way3, flagging
+     * every holder's way when the line is in more than one socket.
+     */
+    void addHolder(unsigned socket, uint64_t line, int way3);
 
     /** Handle inclusive-L3 eviction: purge the line from the socket. */
     void handleL3Eviction(unsigned socket, const Eviction &ev, double now);
 
+    /** Place a new line in @p socket's L3; @return its way. */
+    int fillL3(unsigned socket, uint64_t line, double now);
+
     /** Insert into a core's L2, maintaining L1 inclusion on eviction. */
-    void fillL2(unsigned core, uint64_t line, LineState state, double now);
+    void fillL2(unsigned core, uint64_t line, LineState state);
 
     /** Insert into a core's L1, writing back a dirty victim to L2. */
     void fillL1(unsigned core, uint64_t line, LineState state);
@@ -225,10 +288,10 @@ class MemSystem
     MemSystemConfig config_;
     std::vector<SetAssocCache> l1d_;   ///< per core
     std::vector<SetAssocCache> l2_;    ///< per core
-    std::vector<SetAssocCache> l3_;    ///< per socket
+    std::vector<DirectoryCache> l3_;   ///< per socket
     std::vector<double> dramFree_;     ///< per-core channel free time
     std::vector<double> dramShare_;    ///< per-socket cycles per transfer
-    std::unordered_map<uint64_t, DirEntry> dir_;
+    FlatMap<HomeEntry> home_;          ///< L3 holders; empty on 1 socket
     MemStats stats_;
     bool functional_ = false;  ///< suppress timing/stats during warmup
 };

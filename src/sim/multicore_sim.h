@@ -57,7 +57,10 @@ class MultiCoreSim
      */
     void trainPredictors(const RegionTrace &region);
 
-    /** Return the machine to a cold state. */
+    /**
+     * Return the machine to a cold state, exactly that of a newly
+     * constructed one (same stats from then on), keeping its storage.
+     */
     void reset();
 
     MemSystem &memSystem() { return mem_; }

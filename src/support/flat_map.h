@@ -63,6 +63,8 @@ class FlatMap
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     size_t capacity() const { return slots_.size(); }
+    /** @return bytes held by the slot array. */
+    size_t bytes() const { return slots_.size() * sizeof(Slot); }
 
     /** @return value pointer, or nullptr when @p key is absent. */
     V *

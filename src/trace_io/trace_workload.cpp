@@ -33,7 +33,7 @@ TraceWorkload::regionCount() const
 }
 
 RegionTrace
-TraceWorkload::generateRegion(unsigned index) const
+TraceWorkload::generate(unsigned index) const
 {
     return reader_->readRegion(index);
 }

@@ -35,7 +35,6 @@ class TraceWorkload : public Workload
 {
   public:
     unsigned regionCount() const override;
-    RegionTrace generateRegion(unsigned index) const override;
     uint64_t contentHash() const override;
 
     const TraceReader &reader() const { return *reader_; }
@@ -45,6 +44,8 @@ class TraceWorkload : public Workload
     makeTraceWorkload(const std::string &path);
 
     TraceWorkload(std::unique_ptr<TraceReader> reader, std::string name);
+
+    RegionTrace generate(unsigned index) const override;
 
     std::unique_ptr<TraceReader> reader_;
 };

@@ -26,9 +26,9 @@ class Bodytrack final : public Workload
 
     unsigned regionCount() const override { return 89; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kImage = 24576;     ///< 1.5 MB frame
     static constexpr uint64_t kEdges = 24576;     ///< 1.5 MB edge map
     static constexpr uint64_t kModel = 4096;      ///< 256 KB body model
@@ -41,7 +41,7 @@ class Bodytrack final : public Workload
 };
 
 RegionTrace
-Bodytrack::generateRegion(unsigned index) const
+Bodytrack::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

@@ -26,9 +26,9 @@ class NpbBt final : public Workload
 
     unsigned regionCount() const override { return 1001; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     // Array sizes in cache lines.
     static constexpr uint64_t kU = 4096;     ///< 256 KB solution grid
     static constexpr uint64_t kRhs = 4096;   ///< 256 KB right-hand side
@@ -42,7 +42,7 @@ class NpbBt final : public Workload
 };
 
 RegionTrace
-NpbBt::generateRegion(unsigned index) const
+NpbBt::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

@@ -27,9 +27,9 @@ class NpbCg final : public Workload
 
     unsigned regionCount() const override { return 46; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kA = 49152;       ///< 3 MB matrix values
     static constexpr uint64_t kColIdx = 24576;  ///< 1.5 MB column index
     static constexpr uint64_t kX = 163840;      ///< 10 MB gather table
@@ -44,7 +44,7 @@ class NpbCg final : public Workload
 };
 
 RegionTrace
-NpbCg::generateRegion(unsigned index) const
+NpbCg::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

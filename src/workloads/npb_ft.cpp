@@ -27,9 +27,9 @@ class NpbFt final : public Workload
 
     unsigned regionCount() const override { return 34; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kGrid = 16384;     ///< 1 MB per array
     static constexpr uint64_t kTwiddle = 8192;   ///< 512 KB
 
@@ -63,7 +63,7 @@ NpbFt::emitFftPass(std::vector<MicroOp> &out, uint32_t bb, uint64_t stride,
 }
 
 RegionTrace
-NpbFt::generateRegion(unsigned index) const
+NpbFt::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

@@ -26,9 +26,9 @@ class NpbIs final : public Workload
 
     unsigned regionCount() const override { return 11; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kKeys = 32768;     ///< 2 MB key array
     static constexpr uint64_t kBucketUnit = 1024;
 
@@ -37,7 +37,7 @@ class NpbIs final : public Workload
 };
 
 RegionTrace
-NpbIs::generateRegion(unsigned index) const
+NpbIs::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

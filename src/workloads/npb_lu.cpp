@@ -26,9 +26,9 @@ class NpbLu final : public Workload
 
     unsigned regionCount() const override { return 503; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kU = 8192;    ///< 512 KB grid
     static constexpr uint64_t kRsd = 8192;  ///< 512 KB residual
 
@@ -37,7 +37,7 @@ class NpbLu final : public Workload
 };
 
 RegionTrace
-NpbLu::generateRegion(unsigned index) const
+NpbLu::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

@@ -27,9 +27,9 @@ class NpbMg final : public Workload
 
     unsigned regionCount() const override { return 245; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr unsigned kLevels = 5;
     /** Grid sizes in lines: 2 MB, 256 KB, 32 KB, 4 KB, 1 KB. */
     static constexpr uint64_t kLines[kLevels] = {32768, 4096, 512, 64, 16};
@@ -51,7 +51,7 @@ constexpr uint64_t NpbMg::kLines[];
 constexpr uint64_t NpbMg::kStride[];
 
 RegionTrace
-NpbMg::generateRegion(unsigned index) const
+NpbMg::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

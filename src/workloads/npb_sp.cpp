@@ -25,9 +25,9 @@ class NpbSp final : public Workload
 
     unsigned regionCount() const override { return 3601; }
 
-    RegionTrace generateRegion(unsigned index) const override;
-
   private:
+    RegionTrace generate(unsigned index) const override;
+
     static constexpr uint64_t kU = 4096;    ///< 256 KB
     static constexpr uint64_t kRhs = 4096;  ///< 256 KB
     static constexpr uint64_t kLhs = 8192;  ///< 512 KB
@@ -40,7 +40,7 @@ class NpbSp final : public Workload
 };
 
 RegionTrace
-NpbSp::generateRegion(unsigned index) const
+NpbSp::generate(unsigned index) const
 {
     const unsigned threads = threadCount();
     RegionTrace trace(index, threads);

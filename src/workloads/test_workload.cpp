@@ -14,8 +14,9 @@ class TestWorkload final : public Workload
 
     unsigned regionCount() const override { return spec_.regions; }
 
+  private:
     RegionTrace
-    generateRegion(unsigned index) const override
+    generate(unsigned index) const override
     {
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);

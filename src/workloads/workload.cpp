@@ -25,6 +25,20 @@ Workload::Workload(std::string name, const WorkloadParams &params)
     addressWindow_ = (name_hash & 0x3F) << 38;
 }
 
+RegionTrace
+Workload::generateRegion(unsigned index) const
+{
+    BP_ASSERT(index < regionCount(), "region index out of range");
+    return generate(index);
+}
+
+RegionTrace
+Workload::generate(unsigned) const
+{
+    panic("workload '%s' implements neither generate() nor "
+          "generateRegion()", name_.c_str());
+}
+
 uint64_t
 Workload::scaled(uint64_t count) const
 {

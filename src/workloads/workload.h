@@ -64,8 +64,13 @@ class Workload
     /**
      * Regenerate the dynamic instruction streams of region @p index.
      * Must be safe to call concurrently (see the file comment).
+     *
+     * @pre index < regionCount(); checked here, then generate() runs.
+     * Virtual only so that a wrapper forwarding to another workload
+     * (which checks the index itself) can override it; workloads
+     * implement generate().
      */
-    virtual RegionTrace generateRegion(unsigned index) const = 0;
+    virtual RegionTrace generateRegion(unsigned index) const;
 
     /**
      * Fingerprint of external content this workload replays, or 0 for
@@ -88,6 +93,12 @@ class Workload
     uint64_t arrayBase(unsigned array_id) const;
 
   private:
+    /**
+     * Produce region @p index, already checked to be in range. Every
+     * workload that does not override generateRegion() implements it.
+     */
+    virtual RegionTrace generate(unsigned index) const;
+
     std::string name_;
     WorkloadParams params_;
     uint64_t addressWindow_;

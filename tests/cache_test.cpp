@@ -149,11 +149,35 @@ TEST(CacheTest, ResetClears)
     EXPECT_FALSE(c.contains(1));
 }
 
+TEST(CacheTest, RefillAfterResetMatchesFreshCache)
+{
+    // reset() leaves the old ways in place; a set must refill exactly
+    // as in a new cache, with none of them visible or evicted.
+    SetAssocCache reused(smallCache()), fresh(smallCache());
+    for (uint64_t line : {1, 5, 2})
+        reused.insert(line, LineState::Modified);
+    reused.reset();
+    for (uint64_t line : {9, 13, 17, 9, 21, 6}) {
+        const auto a = reused.insert(line, LineState::Shared);
+        const auto b = fresh.insert(line, LineState::Shared);
+        ASSERT_EQ(a.has_value(), b.has_value()) << line;
+        if (a) {
+            EXPECT_EQ(a->line, b->line);
+            EXPECT_EQ(a->dirty, b->dirty);
+        }
+    }
+    for (uint64_t line = 0; line < 32; ++line)
+        EXPECT_EQ(reused.lookup(line), fresh.lookup(line)) << line;
+    EXPECT_EQ(reused.occupancy(), fresh.occupancy());
+}
+
 TEST(CacheTest, SetStateOnResidentLine)
 {
     SetAssocCache c(smallCache());
-    c.insert(2, LineState::Shared);
-    c.setState(2, LineState::Modified);
+    int way = -1;
+    c.insert(2, LineState::Shared, &way);
+    ASSERT_EQ(c.lookup(2), way);
+    c.at(2, way).state = LineState::Modified;
     EXPECT_EQ(c.state(2), LineState::Modified);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit and property tests for CoreSet / SharerSet (support/core_set.h):
+ * Unit and property tests for CoreSet (support/core_set.h):
  * the word-array bitmap must agree with std::bitset<1024> on every
  * operation, with explicit attention to the 64-bit word boundaries
  * the old flat-mask representation ended at.
@@ -174,123 +174,6 @@ TEST(CoreSetTest, AndNotOrWithIntersectsMatchStdBitset)
         or_with.orWith(b);
         expectEquivalent(or_with, ra | rb);
     }
-}
-
-// ------------------------------------------------------------ SharerSet
-
-TEST(SharerSetTest, TwoLevelBookkeeping)
-{
-    SharerSet s;
-    EXPECT_TRUE(s.empty());
-    EXPECT_TRUE(s.sockets().none());
-
-    s.set(3, 5);
-    s.set(3, 63);
-    s.set(100, 0);
-    EXPECT_FALSE(s.empty());
-    EXPECT_TRUE(s.test(3, 5));
-    EXPECT_TRUE(s.test(3, 63));
-    EXPECT_TRUE(s.test(100, 0));
-    EXPECT_FALSE(s.test(3, 6));
-    EXPECT_FALSE(s.test(4, 5));
-    EXPECT_EQ(s.sockets().count(), 2u);
-    EXPECT_TRUE(s.sockets().test(3));
-    EXPECT_TRUE(s.sockets().test(100));
-    EXPECT_EQ(s.socketWord(3), (uint64_t{1} << 5) | (uint64_t{1} << 63));
-    EXPECT_EQ(s.socketWord(100), 1u);
-    EXPECT_EQ(s.socketWord(4), 0u);
-
-    // Clearing the last bit of a socket drops the summary bit.
-    s.clear(100, 0);
-    EXPECT_FALSE(s.sockets().test(100));
-    EXPECT_EQ(s.socketWord(100), 0u);
-    s.clear(3, 5);
-    EXPECT_TRUE(s.sockets().test(3));
-    s.clear(3, 63);
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(SharerSetTest, ForEachVisitsAscendingAndAnyOtherThan)
-{
-    SharerSet s;
-    s.set(127, 63);
-    s.set(0, 7);
-    s.set(5, 0);
-    s.set(5, 33);
-    std::vector<std::pair<unsigned, unsigned>> seen;
-    s.forEach([&](unsigned socket, unsigned bit) {
-        seen.emplace_back(socket, bit);
-    });
-    const std::vector<std::pair<unsigned, unsigned>> want = {
-        {0, 7}, {5, 0}, {5, 33}, {127, 63}};
-    EXPECT_EQ(seen, want);
-
-    EXPECT_TRUE(s.anyOtherThan(0, 7));
-    s.clear(5, 0);
-    s.clear(5, 33);
-    s.clear(127, 63);
-    EXPECT_FALSE(s.anyOtherThan(0, 7));
-    EXPECT_TRUE(s.anyOtherThan(0, 8));
-    EXPECT_TRUE(s.anyOtherThan(1, 7));
-}
-
-TEST(SharerSetTest, ClearSocketDropsWholeShard)
-{
-    SharerSet s;
-    s.set(2, 1);
-    s.set(2, 50);
-    s.set(9, 9);
-    s.clearSocket(2);
-    EXPECT_FALSE(s.test(2, 1));
-    EXPECT_FALSE(s.test(2, 50));
-    EXPECT_TRUE(s.test(9, 9));
-    EXPECT_FALSE(s.sockets().test(2));
-    s.clearSocket(7);  // absent socket: no-op
-    EXPECT_TRUE(s.test(9, 9));
-}
-
-TEST(SharerSetTest, RandomOpsMatchFlatReference)
-{
-    // The two-level set must agree with a flat 8192-bit reference
-    // (128 sockets x 64 cores) under random set/clear/clearSocket.
-    Rng rng(0x5A5A);
-    SharerSet s;
-    std::bitset<kMaxSockets * 64> ref;
-    for (int i = 0; i < 20000; ++i) {
-        const unsigned socket =
-            static_cast<unsigned>(rng.nextBounded(kMaxSockets));
-        const unsigned bit = static_cast<unsigned>(rng.nextBounded(64));
-        const unsigned flat = socket * 64 + bit;
-        switch (rng.nextBounded(4)) {
-          case 0:
-            s.set(socket, bit);
-            ref.set(flat);
-            break;
-          case 1:
-            s.clear(socket, bit);
-            ref.reset(flat);
-            break;
-          case 2:
-            for (unsigned b = 0; b < 64; ++b)
-                ref.reset(socket * 64 + b);
-            s.clearSocket(socket);
-            break;
-          case 3:
-            ASSERT_EQ(s.test(socket, bit), ref.test(flat));
-            break;
-        }
-    }
-    std::vector<unsigned> flat_seen;
-    s.forEach([&](unsigned socket, unsigned bit) {
-        flat_seen.push_back(socket * 64 + bit);
-    });
-    std::vector<unsigned> flat_want;
-    for (unsigned b = 0; b < ref.size(); ++b) {
-        if (ref.test(b))
-            flat_want.push_back(b);
-    }
-    EXPECT_EQ(flat_seen, flat_want);
-    EXPECT_EQ(s.empty(), ref.none());
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/memsys/mem_system.h"
 #include "src/support/rng.h"
 #include "src/trace/micro_op.h"
@@ -433,7 +435,7 @@ INSTANTIATE_TEST_SUITE_P(WideCoreCounts, ManyCoreDirectoryTest,
                                            1024u));
 
 /**
- * Cases specific to the CoreSet/SharerSet representation above 64
+ * Cases specific to the CoreSet representation above 64
  * cores: sharers straddling the 64-bit word boundaries of the old
  * flat mask, and invalidation fanning out across more sockets than
  * the old 64-bit socket mask had bits for.
@@ -512,6 +514,55 @@ TEST_P(CoherenceRandomTest, SingleWriterInvariant)
 INSTANTIATE_TEST_SUITE_P(CoreCounts, CoherenceRandomTest,
                          ::testing::Values(2u, 8u, 32u, 33u, 48u, 64u, 65u,
                                            256u, 1024u));
+
+/**
+ * Directory invariant sweep under eviction pressure: timed accesses
+ * and functional installs from random cores over a footprint 32x a
+ * shrunken L3 (4 sets x 2 ways), so L1, L2 and L3 evictions,
+ * back-invalidations, upgrades and owner downgrades all fire.
+ * checkInvariants() must hold after every operation.
+ */
+class DirectoryInvariantTest : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(DirectoryInvariantTest, HoldsUnderEvictionPressure)
+{
+    MemSystemConfig cfg = configWide(GetParam());
+    cfg.l1d = CacheGeometry{128, 2, 4};  // 1 set x 2 ways
+    cfg.l2 = CacheGeometry{256, 2, 8};   // 2 sets x 2 ways
+    cfg.l3 = CacheGeometry{512, 2, 30};  // 4 sets x 2 ways
+    MemSystem m(cfg);
+
+    uint64_t seed = 0xD1EC7 + cfg.numCores;
+    const uint64_t footprint = 32 * cfg.l3.numLines();
+    for (int i = 0; i < 6000; ++i) {
+        const uint64_t line = splitMix64(seed) % footprint;
+        const unsigned core =
+            static_cast<unsigned>(splitMix64(seed) % cfg.numCores);
+        const uint64_t r = splitMix64(seed);
+        if (r % 4 == 0) {
+            m.installFunctional(core, line, (r >> 8) % 3 == 0,
+                                (r >> 16) % 4 == 0);
+        } else {
+            m.access(core, addrOfLine(line), (r >> 8) % 3 == 0, 0.0);
+        }
+        const std::string error = m.checkInvariants();
+        ASSERT_EQ(error, "") << "after operation " << i;
+    }
+    const MemStats &st = m.stats();
+    EXPECT_GT(st.invalidations, 0u);
+    EXPECT_GT(st.upgrades, 0u);
+    EXPECT_GT(st.dramWrites, 0u);
+    if (cfg.numSockets() > 1)
+        EXPECT_GT(st.remoteHits, 0u);
+
+    m.reset();
+    EXPECT_EQ(m.checkInvariants(), "");
+    EXPECT_EQ(m.dirFootprint().lines, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryInvariantTest,
+                         ::testing::Values(8u, 32u, 48u, 1024u));
 
 } // namespace
 } // namespace bp

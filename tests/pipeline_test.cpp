@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/support/serialize.h"
 #include "src/support/stats.h"
 #include "src/workloads/test_workload.h"
 
@@ -143,8 +144,9 @@ class WideWorkload : public Workload
 
     unsigned regionCount() const override { return 3; }
 
+  private:
     RegionTrace
-    generateRegion(unsigned index) const override
+    generate(unsigned index) const override
     {
         const unsigned threads = threadCount();
         RegionTrace trace(index, threads);
@@ -286,6 +288,37 @@ TEST(PipelineTest, SpeedupsAreConsistent)
     EXPECT_GE(analysis.serialSpeedup(), 1.0);
     EXPECT_GE(analysis.parallelSpeedup(), analysis.serialSpeedup());
     EXPECT_GE(analysis.resourceReduction(), 1.0);
+}
+
+TEST(PipelineTest, ReusedMachineMatchesFreshMachinePerPoint)
+{
+    // simulateBarrierPoints runs every point on one reset() machine
+    // per executor; each point must see exactly a new machine. Sixteen
+    // threads on 8-core sockets exercise the home map as well.
+    const auto wl = smallWorkload(16, 25, 3);
+    const auto machine = MachineConfig::withCores(16);
+    const auto analysis = analyzeWorkload(*wl);
+    ASSERT_GE(analysis.points.size(), 3u);
+    const auto snapshots = captureAnalysisSnapshots(*wl, machine, analysis);
+    const auto reused =
+        simulateBarrierPoints(*wl, machine, analysis, snapshots);
+    const auto cold = simulateBarrierPoints(*wl, machine, analysis,
+                                            WarmupPolicy::Cold);
+    ASSERT_EQ(reused.size(), analysis.points.size());
+    const auto bytes = [](const RegionStats &stats) {
+        Serializer s;
+        stats.serialize(s);
+        return s.buffer();
+    };
+    for (size_t j = 0; j < analysis.points.size(); ++j) {
+        EXPECT_EQ(bytes(reused[j]),
+                  bytes(simulateBarrierPoint(*wl, machine, analysis, j,
+                                             &snapshots)))
+            << "point " << j;
+        EXPECT_EQ(bytes(cold[j]),
+                  bytes(simulateBarrierPoint(*wl, machine, analysis, j)))
+            << "point " << j;
+    }
 }
 
 TEST(PipelineDeathTest, MismatchedSnapshotCountIsCleanlyFatal)

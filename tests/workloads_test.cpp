@@ -296,6 +296,15 @@ TEST_P(WorkloadPropertyTest, HasBothComputeAndMemory)
     EXPECT_LT(mem, total);
 }
 
+TEST_P(WorkloadPropertyTest, OutOfRangeRegionIsRejected)
+{
+    // Regression: an index past the last barrier used to generate a
+    // plausible-looking region instead of failing.
+    const auto wl = makeWorkload(GetParam(), params(2));
+    EXPECT_DEATH(wl->generateRegion(wl->regionCount()),
+                 "region index out of range");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadPropertyTest,
                          ::testing::ValuesIn(workloadNames()));
 
@@ -316,6 +325,15 @@ TEST(TestWorkloadTest, PhasesCycleAndDiffer)
     const auto r2 = wl->generateRegion(2);
     EXPECT_EQ(r1.thread(0)[0].bb, r4.thread(0)[0].bb);
     EXPECT_NE(r1.thread(0)[0].bb, r2.thread(0)[0].bb);
+}
+
+TEST(TestWorkloadTest, OutOfRangeRegionIsRejected)
+{
+    WorkloadParams params;
+    params.threads = 2;
+    TestWorkloadSpec spec;
+    const auto wl = makeTestWorkload(params, spec);
+    EXPECT_DEATH(wl->generateRegion(spec.regions), "region index out of range");
 }
 
 TEST(TestWorkloadTest, WobbleVariesLengths)
