@@ -15,10 +15,13 @@
 #ifndef BP_SUPPORT_SERIALIZE_H
 #define BP_SUPPORT_SERIALIZE_H
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "src/support/logging.h"
 
 namespace bp {
 
@@ -95,13 +98,64 @@ class Deserializer
     size_t pos_ = 0;
 };
 
+// Little-endian load/store helpers for fixed-width binary fields
+// (.bptrace records, WordLaneHash words).
+
+inline void
+leStore16(uint8_t *out, uint16_t v)
+{
+    for (unsigned b = 0; b < 2; ++b)
+        out[b] = static_cast<uint8_t>(v >> (8 * b));
+}
+
+inline void
+leStore32(uint8_t *out, uint32_t v)
+{
+    for (unsigned b = 0; b < 4; ++b)
+        out[b] = static_cast<uint8_t>(v >> (8 * b));
+}
+
+inline void
+leStore64(uint8_t *out, uint64_t v)
+{
+    for (unsigned b = 0; b < 8; ++b)
+        out[b] = static_cast<uint8_t>(v >> (8 * b));
+}
+
+inline uint16_t
+leLoad16(const uint8_t *in)
+{
+    uint16_t v = 0;
+    for (unsigned b = 0; b < 2; ++b)
+        v = static_cast<uint16_t>(v | in[b] << (8 * b));
+    return v;
+}
+
+inline uint32_t
+leLoad32(const uint8_t *in)
+{
+    uint32_t v = 0;
+    for (unsigned b = 0; b < 4; ++b)
+        v |= static_cast<uint32_t>(in[b]) << (8 * b);
+    return v;
+}
+
+inline uint64_t
+leLoad64(const uint8_t *in)
+{
+    uint64_t v = 0;
+    for (unsigned b = 0; b < 8; ++b)
+        v |= static_cast<uint64_t>(in[b]) << (8 * b);
+    return v;
+}
+
 /** 64-bit FNV-1a offset basis, for incremental checksumming. */
 constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
 
 /**
- * Continue a 64-bit FNV-1a hash over @p size more bytes: the one
- * checksum of artifacts and .bptrace traces. Inline because trace
- * recording folds in every record as it is written.
+ * Continue a 64-bit FNV-1a hash over @p size more bytes: the checksum
+ * of artifacts, of .bptrace headers and indexes, and of v1 .bptrace
+ * payloads (v2 payloads use WordLaneHash below).
  */
 inline uint64_t
 fnv1aUpdate(uint64_t hash, const uint8_t *data, size_t size)
@@ -113,6 +167,59 @@ fnv1aUpdate(uint64_t hash, const uint8_t *data, size_t size)
 
 /** 64-bit FNV-1a hash (the artifact payload checksum). */
 uint64_t fnv1aHash(const uint8_t *data, size_t size);
+
+/**
+ * Word-lane checksum over 16-byte blocks: the .bptrace v2 payload
+ * checksum (docs/trace_format.md, "Checksums"). Each block is two
+ * little-endian u64 words; word 0 feeds lane 0 and word 1 feeds lane
+ * 1, one step per word:
+ *
+ *   h = (h ^ w) * P;  h ^= h >> 32;
+ *
+ * The lanes never read each other, so their multiply chains overlap.
+ * The xor-shift folds each product's high half back down: under a
+ * plain (h ^ w) * P, a flip of bit 63 survives only as bit 63, and a
+ * second flip there in the lane's next word cancels it. update() takes
+ * whole blocks, any number per call, so a writer can feed records as
+ * it flushes them.
+ */
+class WordLaneHash
+{
+  public:
+    static constexpr size_t kBlockBytes = 16;
+
+    void
+    update(const uint8_t *data, size_t size)
+    {
+        BP_ASSERT(size % kBlockBytes == 0,
+                  "WordLaneHash takes whole 16-byte blocks");
+        uint64_t h0 = lane0_, h1 = lane1_;
+        for (const uint8_t *end = data + size; data != end;
+             data += kBlockBytes) {
+            h0 = step(h0, leLoad64(data), kPrime0);
+            h1 = step(h1, leLoad64(data + 8), kPrime1);
+        }
+        lane0_ = h0;
+        lane1_ = h1;
+    }
+
+    /** The checksum of every block so far: lane0 ^ rotl(lane1, 32). */
+    uint64_t digest() const { return lane0_ ^ std::rotl(lane1_, 32); }
+
+  private:
+    static constexpr uint64_t kPrime0 = 0x9e3779b97f4a7c15ull;
+    static constexpr uint64_t kPrime1 = 0xc2b2ae3d27d4eb4full;
+
+    static uint64_t
+    step(uint64_t h, uint64_t w, uint64_t prime)
+    {
+        h = (h ^ w) * prime;
+        return h ^ (h >> 32);
+    }
+
+    uint64_t lane0_ = kFnv1aBasis;
+    uint64_t lane1_ = std::rotl(kFnv1aBasis, 32);
+};
 
 /** @return true when @p path names a readable file (artifact probe). */
 bool fileExists(const std::string &path);

@@ -22,9 +22,10 @@ decodeTraceHeader(const uint8_t *in, const std::string &path)
     if (leLoad32(in) != kTraceMagic)
         throw TraceError("'" + path + "' is not a bptrace file (bad magic)");
     const uint32_t version = leLoad32(in + 4);
-    if (version != kTraceVersion)
+    if (version < kTraceMinVersion || version > kTraceVersion)
         throw TraceError("'" + path + "' has unsupported trace version " +
                          std::to_string(version) + " (this build reads " +
+                         std::to_string(kTraceMinVersion) + " to " +
                          std::to_string(kTraceVersion) + ")");
     if (leLoad64(in + 32) != fnv1aUpdate(kFnv1aBasis, in, 32))
         throw TraceError("'" + path +
@@ -35,6 +36,7 @@ decodeTraceHeader(const uint8_t *in, const std::string &path)
                          "' sets reserved trace header bits this build "
                          "does not understand");
     TraceHeader header;
+    header.version = version;
     header.threadCount = leLoad32(in + 8);
     header.regionCount = leLoad64(in + 16);
     header.indexOffset = leLoad64(in + 24);

@@ -7,15 +7,15 @@
  * thread, in a layout the replay side can seek into per region. It is
  * the external-workload counterpart of the artifact framing in
  * support/serialize.h and follows the same discipline — fixed-width
- * little-endian fields, magic/version header, FNV-1a checksums, typed
- * errors (TraceError) on every malformed input, never UB or a partial
- * result.
+ * little-endian fields, magic/version header, checksums over every
+ * byte, typed errors (TraceError) on every malformed input, never UB
+ * or a partial result.
  *
  * File layout (all integers little-endian):
  *
  *   [header, 40 bytes]
  *     u32 magic          "BPTR" (0x52545042)
- *     u32 version        kTraceVersion
+ *     u32 version        kTraceVersion (2); version 1 is still read
  *     u32 threadCount    in [1, kMaxCores]
  *     u32 reserved       must be 0
  *     u64 regionCount    patched on close
@@ -31,7 +31,9 @@
  *   [region index, 24 bytes per region, at indexOffset]
  *     u64 offset         absolute offset of the region's first record
  *     u64 count          record count including barrier markers
- *     u64 checksum       FNV-1a over the region's raw record bytes
+ *     u64 checksum       payload checksum over the region's raw
+ *                        record bytes: WordLaneHash (two u64 lanes,
+ *                        support/serialize.h) in v2, FNV-1a in v1
  *   [trailer, 8 bytes]
  *     u64 checksum       FNV-1a over the raw index bytes
  *
@@ -72,8 +74,16 @@ class TraceError : public SerializeError
 /** "BPTR" as a little-endian u32. */
 constexpr uint32_t kTraceMagic = 0x52545042u;
 
-/** Trace format version; bump on any layout change. */
-constexpr uint32_t kTraceVersion = 1;
+/**
+ * Trace format version written; bump on any layout or checksum change.
+ * Version 2 moved the payload checksum from bytewise FNV-1a to
+ * WordLaneHash; the layout is unchanged, and version-1 files still
+ * read (see tracePayloadChecksum).
+ */
+constexpr uint32_t kTraceVersion = 2;
+
+/** Oldest trace version this build reads. */
+constexpr uint32_t kTraceMinVersion = 1;
 
 constexpr size_t kTraceHeaderBytes = 40;
 constexpr size_t kTraceRecordBytes = 16;
@@ -101,66 +111,18 @@ struct TraceRegionIndexEntry
 {
     uint64_t offset = 0;    ///< absolute offset of the first record
     uint64_t count = 0;     ///< records including barrier markers
-    uint64_t checksum = 0;  ///< FNV-1a of the raw record bytes
+    uint64_t checksum = 0;  ///< tracePayloadChecksum of the records
 };
 
-/** The header's variable fields (magic/version/checksum are implied). */
+/** The header's variable fields (magic and checksum are implied). */
 struct TraceHeader
 {
     uint32_t threadCount = 0;
     uint64_t regionCount = 0;
     uint64_t indexOffset = 0;
+    /** Decoded version; encodeTraceHeader() always writes kTraceVersion. */
+    uint32_t version = kTraceVersion;
 };
-
-// Little-endian load/store helpers shared by the writer and reader.
-
-inline void
-leStore16(uint8_t *out, uint16_t v)
-{
-    for (unsigned b = 0; b < 2; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline void
-leStore32(uint8_t *out, uint32_t v)
-{
-    for (unsigned b = 0; b < 4; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline void
-leStore64(uint8_t *out, uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-inline uint16_t
-leLoad16(const uint8_t *in)
-{
-    uint16_t v = 0;
-    for (unsigned b = 0; b < 2; ++b)
-        v = static_cast<uint16_t>(v | in[b] << (8 * b));
-    return v;
-}
-
-inline uint32_t
-leLoad32(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        v |= static_cast<uint32_t>(in[b]) << (8 * b);
-    return v;
-}
-
-inline uint64_t
-leLoad64(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<uint64_t>(in[b]) << (8 * b);
-    return v;
-}
 
 /** Encode @p record into kTraceRecordBytes at @p out. */
 inline void
@@ -186,13 +148,29 @@ decodeTraceRecord(const uint8_t *in)
     return record;
 }
 
+/**
+ * The payload checksum of @p size record bytes in a version-@p version
+ * trace: WordLaneHash from version 2 on, bytewise FNV-1a in version 1.
+ * The one place the reader picks it.
+ */
+inline uint64_t
+tracePayloadChecksum(uint32_t version, const uint8_t *bytes, size_t size)
+{
+    if (version == 1)
+        return fnv1aUpdate(kFnv1aBasis, bytes, size);
+    WordLaneHash hash;
+    hash.update(bytes, size);
+    return hash.digest();
+}
+
 /** Encode a finalized header (computes the header checksum). */
 void encodeTraceHeader(uint8_t *out, const TraceHeader &header);
 
 /**
- * Decode and validate kTraceHeaderBytes at @p in: magic, version,
- * checksum, reserved field, and thread count range. Throws TraceError
- * naming the failing check; @p path labels the message.
+ * Decode and validate kTraceHeaderBytes at @p in: magic, version (in
+ * [kTraceMinVersion, kTraceVersion]), checksum, reserved field, and
+ * thread count range. Throws TraceError naming the failing check;
+ * @p path labels the message.
  */
 TraceHeader decodeTraceHeader(const uint8_t *in, const std::string &path);
 

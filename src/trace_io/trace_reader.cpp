@@ -160,45 +160,44 @@ TraceReader::scanRegion(uint64_t index,
     const TraceRegionIndexEntry &entry = index_[index];
     const uint8_t *bytes = data_ + entry.offset;
     const uint64_t size = entry.count * kTraceRecordBytes;
-    if (fnv1aUpdate(kFnv1aBasis, bytes, size) != entry.checksum)
+    if (tracePayloadChecksum(header_.version, bytes, size) !=
+        entry.checksum)
         throw TraceError("'" + path_ + "' trace region " +
                          std::to_string(index) +
                          " is corrupt (payload checksum mismatch)");
 
     // Structure: every record well-formed, and each thread's stream
     // terminated by exactly one barrier marker with nothing after it.
+    // Messages are formatted only on a failing branch (recordError):
+    // built per record, the prefix cost several times the checks.
     std::vector<bool> barrier_seen(header_.threadCount, false);
     for (uint64_t r = 0; r < entry.count; ++r) {
         const TraceRecord record =
             decodeTraceRecord(bytes + r * kTraceRecordBytes);
-        const std::string where = "'" + path_ + "' trace region " +
-                                  std::to_string(index) + " record " +
-                                  std::to_string(r);
         if (record.flags != 0)
-            throw TraceError(where + " sets reserved flag bits");
+            recordError(index, r, " sets reserved flag bits");
         if (record.kind > kTraceKindBarrier)
-            throw TraceError(where + " has unknown kind " +
-                             std::to_string(record.kind));
+            recordError(index, r,
+                        " has unknown kind " + std::to_string(record.kind));
         if (record.tid >= header_.threadCount)
-            throw TraceError(where + " names thread " +
-                             std::to_string(record.tid) +
-                             " but the trace has " +
-                             std::to_string(header_.threadCount));
+            recordError(index, r,
+                        " names thread " + std::to_string(record.tid) +
+                            " but the trace has " +
+                            std::to_string(header_.threadCount));
         if (barrier_seen[record.tid])
-            throw TraceError(where + " follows thread " +
-                             std::to_string(record.tid) +
-                             "'s barrier marker");
+            recordError(index, r,
+                        " follows thread " + std::to_string(record.tid) +
+                            "'s barrier marker");
         if (record.kind == kTraceKindBarrier) {
             if (record.addr != 0 || record.bb != 0)
-                throw TraceError(where +
-                                 " is a barrier marker with nonzero "
-                                 "payload fields");
+                recordError(index, r,
+                            " is a barrier marker with nonzero payload "
+                            "fields");
             barrier_seen[record.tid] = true;
         } else {
             if (record.kind == kTraceKindAlu && record.addr != 0)
-                throw TraceError(where +
-                                 " is an Alu record with a nonzero "
-                                 "address");
+                recordError(index, r,
+                            " is an Alu record with a nonzero address");
             if (ops_per_thread)
                 ++(*ops_per_thread)[record.tid];
         }
@@ -210,6 +209,15 @@ TraceReader::scanRegion(uint64_t index,
                              " has no barrier marker for thread " +
                              std::to_string(tid));
     }
+}
+
+void
+TraceReader::recordError(uint64_t index, uint64_t record,
+                         const std::string &what) const
+{
+    throw TraceError("'" + path_ + "' trace region " +
+                     std::to_string(index) + " record " +
+                     std::to_string(record) + what);
 }
 
 RegionTrace

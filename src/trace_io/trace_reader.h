@@ -16,10 +16,11 @@
  *    (contiguous, monotonically increasing regions that tile the
  *    record section exactly). Truncating the file at *any* byte fails
  *    here, because the size equation can no longer hold.
- *  - region access: the region's FNV-1a payload checksum (any flipped
- *    record byte is caught), then record structure — known kind, tid
- *    in range, zero flags, barrier markers exactly once per thread as
- *    each thread's final record.
+ *  - region access: the region's payload checksum (WordLaneHash, or
+ *    FNV-1a in a version-1 file; any flipped record byte is caught),
+ *    then record structure — known kind, tid in range, zero flags,
+ *    barrier markers exactly once per thread as each thread's final
+ *    record.
  *
  * readRegion() is const and genuinely so — any number of threads may
  * materialize any mix of regions concurrently, which is what lets
@@ -92,6 +93,11 @@ class TraceReader
      */
     void scanRegion(uint64_t index,
                     std::vector<uint64_t> *ops_per_thread) const;
+
+    /** Throw "'path' trace region N record R" + @p what. */
+    [[noreturn, gnu::cold]] void
+    recordError(uint64_t index, uint64_t record,
+                const std::string &what) const;
 
     std::string path_;
     const uint8_t *data_ = nullptr;  ///< the whole mapped file

@@ -54,7 +54,7 @@ TraceWriter::writeRecordBytes(const uint8_t *bytes, size_t size)
 {
     if (std::fwrite(bytes, 1, size, file_) != size)
         throw TraceError("short write to trace file '" + path_ + "'");
-    regionFnv_ = fnv1aUpdate(regionFnv_, bytes, size);
+    regionHash_.update(bytes, size);
     fileOffset_ += size;
 }
 
@@ -107,10 +107,10 @@ TraceWriter::endRegion()
     TraceRegionIndexEntry entry;
     entry.offset = regionStart_;
     entry.count = (fileOffset_ - regionStart_) / kTraceRecordBytes;
-    entry.checksum = regionFnv_;
+    entry.checksum = regionHash_.digest();
     index_.push_back(entry);
     regionStart_ = fileOffset_;
-    regionFnv_ = kFnv1aBasis;
+    regionHash_ = WordLaneHash();
 }
 
 void

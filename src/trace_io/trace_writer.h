@@ -13,13 +13,13 @@
  *
  * endRegion() flushes every buffer (in thread order), appends one
  * Barrier marker per thread, and records the region's index entry —
- * offset, record count, and an incrementally maintained FNV-1a
- * checksum of the region's bytes. close() writes the region index and
- * its trailer checksum, then patches the header with the final region
- * count, index offset, and header checksum. A file that never reached
- * close() keeps its deliberately invalid initial header and is
- * rejected by TraceReader — a crashed recording can never replay as a
- * short-but-valid trace.
+ * offset, record count, and an incrementally maintained payload
+ * checksum (WordLaneHash) of the region's bytes. close() writes the
+ * region index and its trailer checksum, then patches the header with
+ * the final region count, index offset, and header checksum. A file
+ * that never reached close() keeps its deliberately invalid initial
+ * header and is rejected by TraceReader — a crashed recording can
+ * never replay as a short-but-valid trace.
  *
  * Concurrency contract (docs/concurrency.md): one recording thread
  * per writer, no locks; the per-thread buffers batch per *simulated*
@@ -93,7 +93,7 @@ class TraceWriter
     std::vector<TraceRegionIndexEntry> index_;
     uint64_t fileOffset_ = kTraceHeaderBytes;
     uint64_t regionStart_ = kTraceHeaderBytes;
-    uint64_t regionFnv_ = kFnv1aBasis;
+    WordLaneHash regionHash_;
     uint64_t totalRecords_ = 0;
     uint64_t fileBytes_ = 0;
 };

@@ -3,9 +3,11 @@
  * Tests for the trace_io subsystem: `.bptrace` round-trip
  * bit-exactness, rejection of every corruption mode (truncation at
  * every prefix, header/index/payload checksums, record-level
- * violations), and the replay contract — a recorded workload replayed
- * through `trace:<path>` produces bit-identical profiles, analyses,
- * and estimates to direct generation, at any worker count.
+ * violations), version-1 files read through their FNV-1a payload
+ * checksums (tests/data), and the replay contract — a recorded
+ * workload replayed through `trace:<path>` produces bit-identical
+ * profiles, analyses, and estimates to direct generation, at any
+ * worker count.
  */
 
 #include <gtest/gtest.h>
@@ -69,9 +71,9 @@ writeFile(const std::string &path, const uint8_t *bytes, size_t size)
 
 /**
  * Recompute every checksum (per-region, index trailer, header) of an
- * in-memory trace image — after a test mutates payload bytes, this
- * makes the file checksum-consistent again so only the intended
- * structural violation fires.
+ * in-memory version-2 trace image — after a test mutates payload
+ * bytes, this makes the file checksum-consistent again so only the
+ * intended structural violation fires.
  */
 void
 refreshChecksums(std::vector<uint8_t> &bytes)
@@ -83,9 +85,9 @@ refreshChecksums(std::vector<uint8_t> &bytes)
                          i * kTraceIndexEntryBytes;
         const uint64_t offset = leLoad64(entry);
         const uint64_t count = leLoad64(entry + 8);
-        leStore64(entry + 16,
-                  fnv1aUpdate(kFnv1aBasis, bytes.data() + offset,
-                              count * kTraceRecordBytes));
+        WordLaneHash payload;
+        payload.update(bytes.data() + offset, count * kTraceRecordBytes);
+        leStore64(entry + 16, payload.digest());
     }
     leStore64(bytes.data() + index_offset +
                   region_count * kTraceIndexEntryBytes,
@@ -231,11 +233,13 @@ TEST(TraceIoTest, HeaderCorruptionModesAreRejectedWithTypedErrors)
     bad[0] ^= 0xff;  // magic
     expectThrowContaining(bad, "not a bptrace file");
 
-    bad = good;
-    leStore32(bad.data() + 4, kTraceVersion + 1);
-    leStore64(bad.data() + 32,
-              fnv1aUpdate(kFnv1aBasis, bad.data(), 32));
-    expectThrowContaining(bad, "unsupported trace version");
+    for (const uint32_t version : {0u, kTraceVersion + 1}) {
+        bad = good;
+        leStore32(bad.data() + 4, version);
+        leStore64(bad.data() + 32,
+                  fnv1aUpdate(kFnv1aBasis, bad.data(), 32));
+        expectThrowContaining(bad, "unsupported trace version");
+    }
 
     bad = good;
     bad[33] ^= 0x01;  // header checksum field itself
@@ -327,6 +331,49 @@ TEST(TraceIoTest, PayloadCorruptionIsCaughtOnRegionAccess)
     EXPECT_THROW(reader.verifyAll(), TraceError);
 }
 
+TEST(TraceIoTest, PayloadChecksumCatchesTopBitFlipsInConsecutiveWords)
+{
+    // r0 load(t0), r1 store(t0), r2 barrier(t0): the addr words of r0
+    // and r1 both feed lane 0 and may hold any value, so only the
+    // payload checksum can object to a change there.
+    TempFile file("lanes.bptrace");
+    {
+        TraceWriter writer(file.path(), 1);
+        writer.append(0, MicroOp::load(3, 0x1000));
+        writer.append(0, MicroOp::store(4, 0x2000));
+        writer.endRegion();
+        writer.close();
+    }
+    std::vector<uint8_t> bytes = readFile(file.path());
+    uint8_t *records = bytes.data() + kTraceHeaderBytes;
+
+    // Witness: a plain word-at-a-time FNV, h = (h ^ w) * P per lane,
+    // keeps a flip of bit 63 at bit 63, so a second flip there in the
+    // lane's next word cancels it and the image hashes as before.
+    const auto naiveWordFnv = [&] {
+        uint64_t lanes[2] = {kFnv1aBasis, kFnv1aBasis};
+        for (size_t w = 0; w < 3 * kTraceRecordBytes / 8; ++w)
+            lanes[w % 2] =
+                (lanes[w % 2] ^ leLoad64(records + 8 * w)) * 0x100000001b3ull;
+        return lanes[0] ^ lanes[1];
+    };
+    const uint64_t naive_before = naiveWordFnv();
+    records[7] ^= 0x80;                      // bit 63 of r0.addr
+    records[kTraceRecordBytes + 7] ^= 0x80;  // bit 63 of r1.addr
+    ASSERT_EQ(naiveWordFnv(), naive_before);
+
+    writeFile(file.path(), bytes.data(), bytes.size());
+    TraceReader reader(file.path());
+    try {
+        reader.readRegion(0);
+        FAIL() << "paired bit-63 flips passed the payload checksum";
+    } catch (const TraceError &error) {
+        EXPECT_NE(std::string(error.what()).find("payload checksum mismatch"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(TraceIoTest, RecordLevelViolationsAreRejected)
 {
     // A known layout: t0 = [load, alu], t1 = [store], so the records
@@ -372,6 +419,13 @@ TEST(TraceIoTest, RecordLevelViolationsAreRejected)
     bad = good;
     leStore16(record(bad, 0) + 12, 7);  // tid out of range
     expectRejected(bad, "names thread");
+
+    // The whole message, prefix included, for a record past the first.
+    bad = good;
+    leStore16(record(bad, 2) + 12, 5);  // t1's store names thread 5
+    expectRejected(bad, "'" + file.path() +
+                            "' trace region 0 record 2 names thread 5 "
+                            "but the trace has 2");
 
     bad = good;
     leStore64(record(bad, 1), 0xdead);  // alu with an address
@@ -421,6 +475,66 @@ TEST(TraceIoTest, EmptyTraceIsRejectedAsAWorkload)
 TEST(TraceIoTest, MissingFileThrows)
 {
     EXPECT_THROW(TraceReader("/nonexistent/never.bptrace"), TraceError);
+}
+
+// ---------------------------------------------------------- version 1
+
+/**
+ * `bp record --workload npb-is --threads 2 --scale 0.001` as written
+ * by a version-1 build: bytewise FNV-1a payload checksums. It must
+ * keep reading, and its content hash, which keys every artifact
+ * cached against it, must not move.
+ */
+const std::string kV1Fixture =
+    std::string(BP_TEST_DATA_DIR) + "/npb-is-t2-v1.bptrace";
+constexpr uint64_t kV1FixtureContentHash = 0x51bf75a37dd30037ull;
+
+TEST(TraceIoV1Test, FixtureOpensVerifiesAndKeepsItsContentHash)
+{
+    ASSERT_EQ(leLoad32(readFile(kV1Fixture).data() + 4), 1u);
+    TraceReader reader(kV1Fixture);
+    EXPECT_EQ(reader.threadCount(), 2u);
+    EXPECT_EQ(reader.contentHash(), kV1FixtureContentHash);
+    EXPECT_NO_THROW(reader.verifyAll());
+}
+
+TEST(TraceIoV1Test, FixtureReplaysAsDirectGeneration)
+{
+    WorkloadParams params;
+    params.threads = 2;
+    params.scale = 0.001;
+    const auto direct = makeWorkload("npb-is", params);
+    TraceReader reader(kV1Fixture);
+    ASSERT_EQ(reader.regionCount(), direct->regionCount());
+    for (unsigned i = 0; i < direct->regionCount(); ++i)
+        expectRegionsEqual(direct->generateRegion(i), reader.readRegion(i));
+}
+
+TEST(TraceIoV1Test, FlippedPayloadByteFailsTheV1Checksum)
+{
+    std::vector<uint8_t> bytes = readFile(kV1Fixture);
+    // Flip the low address bit of the first Load or Store record: the
+    // record stays well-formed, so only the payload checksum objects.
+    const uint64_t index_offset = leLoad64(bytes.data() + 24);
+    size_t at = kTraceHeaderBytes;
+    while (at < index_offset && bytes[at + 14] != kTraceKindLoad &&
+           bytes[at + 14] != kTraceKindStore)
+        at += kTraceRecordBytes;
+    ASSERT_LT(at, index_offset);
+    bytes[at] ^= 0x01;
+
+    TempFile file("v1_flipped.bptrace");
+    writeFile(file.path(), bytes.data(), bytes.size());
+    TraceReader reader(file.path());  // header and index are intact
+    EXPECT_EQ(reader.contentHash(), kV1FixtureContentHash);
+    try {
+        reader.verifyAll();
+        FAIL() << "a flipped v1 payload byte was accepted";
+    } catch (const TraceError &error) {
+        EXPECT_NE(std::string(error.what()).find("payload checksum mismatch"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 // ------------------------------------------------------------- replay
