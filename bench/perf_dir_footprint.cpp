@@ -10,13 +10,18 @@
  * a home map slot holds only the line, its socket mask and the
  * owner's socket: its size does not grow with the number of sharers,
  * and the L3 words cost a fixed 8 bytes per way whatever the sharing
- * pattern. A single-socket machine keeps no home map.
+ * pattern. The home map exists only once a second socket is in use:
+ * a single-socket machine keeps none, and neither does the 32-core
+ * machine when only its first 8 cores (socket 0) run the stream, the
+ * under-subscribed row. Its lines are socket 0's L3 occupancy, the
+ * same as the 8-core row's.
  *
  * Numbers are recorded in bench/BASELINE.md; regenerate with
  * ./build/bench/perf_dir_footprint. With --check, exit 1 unless every
- * width tracks exactly its recorded line count and its home map
+ * row tracks exactly its recorded line count and its home map
  * costs no more bytes per line than recorded (both are deterministic:
- * so are the stream, the coherence model and the map's growth).
+ * so are the stream, the coherence model and the map's growth). A
+ * recorded 0 means the row must keep no home map at all.
  */
 
 #include <cstdio>
@@ -30,14 +35,16 @@ namespace {
 struct Width
 {
     unsigned cores;
+    unsigned active;  ///< cores 0..active-1 run the stream
     unsigned long long recordedLines;
     double recordedBytesPerLine;  ///< rounded up to one decimal
 };
 
-constexpr Width kWidths[] = {{8, 7624, 0.0},
-                             {64, 36864, 71.2},
-                             {256, 135168, 77.6},
-                             {1024, 528384, 79.4}};
+constexpr Width kWidths[] = {{8, 8, 7624, 0.0},
+                             {32, 8, 7624, 0.0},
+                             {64, 64, 36864, 71.2},
+                             {256, 256, 135168, 77.6},
+                             {1024, 1024, 528384, 79.4}};
 
 } // namespace
 
@@ -53,8 +60,8 @@ main(int argc, char **argv)
     }
 
     bool ok = true;
-    std::printf("%8s %10s %12s %14s %14s\n", "cores", "sockets",
-                "dir lines", "bytes/line", "L3 word MB");
+    std::printf("%8s %8s %10s %12s %14s %14s\n", "cores", "active",
+                "sockets", "dir lines", "bytes/line", "L3 word MB");
     for (const Width &width : kWidths) {
         MemSystemConfig cfg;
         cfg.numCores = width.cores;
@@ -64,12 +71,12 @@ main(int argc, char **argv)
         // Same per-core access recipe at every width: a widely shared
         // read-mostly region (lines with many sharers), a
         // neighbour-shared band, and a private band per core. Streams
-        // scale with the core count, so wider machines hold more
+        // scale with the active core count, so wider runs hold more
         // lines; bytes/line isolates the per-entry cost.
         Rng rng(0xD17F007);
         constexpr uint64_t kSharedLines = 4096;
         constexpr uint64_t kPrivateLines = 512;
-        for (unsigned core = 0; core < width.cores; ++core) {
+        for (unsigned core = 0; core < width.active; ++core) {
             for (uint64_t i = 0; i < kSharedLines / 4; ++i) {
                 const uint64_t line = rng.nextBounded(kSharedLines);
                 mem.access(core, line * 64, rng.nextBounded(16) == 0,
@@ -85,8 +92,8 @@ main(int argc, char **argv)
         }
 
         const auto fp = mem.dirFootprint();
-        std::printf("%8u %10u %12llu %14.1f %14.1f\n", width.cores,
-                    cfg.numSockets(),
+        std::printf("%8u %8u %10u %12llu %14.1f %14.1f\n", width.cores,
+                    width.active, cfg.numSockets(),
                     static_cast<unsigned long long>(fp.lines),
                     fp.bytesPerLine,
                     static_cast<double>(fp.wayBytes) / (1 << 20));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/support/flat_map.h"
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
 #include "src/workloads/registry.h"
@@ -77,6 +78,36 @@ deserializeSnapshots(Deserializer &d)
         }
     }
     return snapshots;
+}
+
+/**
+ * @return why @p artifact cannot be a capture of its workload, or
+ * nullptr. MruTracker::snapshot lists each retained line once, at
+ * most the tracker's capacity, with at most one of its two flags.
+ */
+const char *
+snapshotError(const SnapshotArtifact &artifact)
+{
+    if (artifact.snapshots.size() != artifact.regions.size())
+        return "snapshot count differs from the region count";
+    FlatMap<bool> seen;
+    for (const auto &per_core : artifact.snapshots) {
+        if (per_core.size() != artifact.workload.threads)
+            return "per-core list count differs from the thread count";
+        for (const auto &entries : per_core) {
+            if (entries.size() > artifact.capacityLines)
+                return "per-core list longer than the capture capacity";
+            seen.clear();
+            seen.reserve(entries.size());
+            for (const MruEntry &entry : entries) {
+                if (!seen.insert(entry.line).second)
+                    return "line repeated within a per-core list";
+                if (entry.written && entry.llcDirty)
+                    return "entry both written and LLC-dirty";
+            }
+        }
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -252,6 +283,8 @@ loadSnapshotArtifact(const std::string &path)
         region = d.u32();
     artifact.snapshots = deserializeSnapshots(d);
     d.expectEnd();
+    if (const char *error = snapshotError(artifact))
+        throw SerializeError(std::string("snapshot artifact: ") + error);
     return artifact;
 }
 

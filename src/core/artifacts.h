@@ -154,7 +154,12 @@ void saveArtifact(const std::string &path, const AnalysisArtifact &artifact);
 void saveArtifact(const std::string &path, const SnapshotArtifact &artifact);
 void saveArtifact(const std::string &path, const RunResultArtifact &artifact);
 
-/** Each loader throws SerializeError on any malformed input. */
+/**
+ * Each loader throws SerializeError on any malformed input. A snapshot
+ * set must also read as a capture of its workload: one snapshot per
+ * region, one list per thread, each no longer than capacityLines,
+ * with no line listed twice and no entry both written and llcDirty.
+ */
 ProfileArtifact loadProfileArtifact(const std::string &path);
 AnalysisArtifact loadAnalysisArtifact(const std::string &path);
 SnapshotArtifact loadSnapshotArtifact(const std::string &path);

@@ -369,8 +369,7 @@ Experiment::tryLoadSnapshots(const std::string &path,
         if (artifact.workload != spec_ ||
             artifact.capacityLines != key.first ||
             artifact.privateLines != key.second ||
-            artifact.regions != regions ||
-            artifact.snapshots.size() != regions.size()) {
+            artifact.regions != regions) {
             warn("snapshot artifact %s was captured for a different "
                  "analysis or machine; recapturing",
                  path.c_str());

@@ -130,6 +130,26 @@ MemSystem::dramAccess(unsigned core, double now, bool is_read)
     return config_.dramLatency + (start - now);
 }
 
+void
+MemSystem::admitSocket(unsigned socket)
+{
+    if (soleSocket_ < 0) {
+        soleSocket_ = static_cast<int>(socket);
+        return;
+    }
+    // A second socket arrives. Until now no line had another holder,
+    // so no way is flagged as shared and no home entry would name an
+    // owner: each line of the sole socket's L3 has that socket alone
+    // in its mask, and that is the whole map.
+    const DirectoryCache &l3 = l3_[soleSocket_];
+    home_.reserve(l3.occupancy());
+    l3.forEachLine([&](const DirectoryWay &way) {
+        home_.insert(way.tag).first->sockets.set(
+            static_cast<unsigned>(soleSocket_));
+    });
+    homeLive_ = true;
+}
+
 bool
 MemSystem::invalidateCore(unsigned core, uint64_t line)
 {
@@ -234,7 +254,7 @@ MemSystem::invalidateSharers(unsigned requester, uint64_t line, int way3,
         strip(my_socket);
         return false;
     }
-    HomeEntry *home = home_.find(line);
+    HomeEntry *home = homeLive_ ? home_.find(line) : nullptr;
     if (!home)
         return false;
     home->sockets.forEachSetBit(strip);
@@ -248,8 +268,8 @@ MemSystem::invalidateSharers(unsigned requester, uint64_t line, int way3,
 void
 MemSystem::addHolder(unsigned socket, uint64_t line, int way3)
 {
-    if (l3_.size() == 1)
-        return;  // one L3 is the whole directory: no home map to keep
+    if (!homeLive_)
+        return;  // one socket's L3 is the whole directory
     HomeEntry &home = *home_.insert(line).first;
     if (home.sockets.any()) {
         // Two or more holders: every holder's way is flagged. Holders
@@ -274,7 +294,7 @@ MemSystem::handleL3Eviction(unsigned socket, const Eviction &ev, double now)
     // must be back-invalidated.
     const bool dirty =
         invalidateCores(socket, ev.sharers, ev.line) || ev.dirty;
-    if (l3_.size() > 1) {
+    if (homeLive_) {
         HomeEntry *home = home_.find(ev.line);
         BP_ASSERT(home, "L3 victim has no home entry");
         home->sockets.clear(socket);
@@ -349,6 +369,7 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
     const uint64_t line = lineOf(addr);
     const unsigned socket = socketOf(core);
     DirectoryCache &l3 = l3_[socket];
+    noteSocket(socket);
     ++stats_.accesses;
 
     // --- L1 ---
@@ -397,7 +418,7 @@ MemSystem::access(unsigned core, uint64_t addr, bool is_write, double now)
     // nor the owner. The local L3 way names this socket's holders; the
     // home mask is needed only if another socket may hold the line.
     int way3 = l3.lookup(line);
-    HomeEntry *home = way3 < 0 || l3.at(line, way3).shared
+    HomeEntry *home = homeLive_ && (way3 < 0 || l3.at(line, way3).shared)
         ? home_.find(line) : nullptr;
     double extra = 0.0;
 
@@ -456,6 +477,7 @@ MemSystem::installFunctional(unsigned core, uint64_t line_addr,
     functional_ = true;
     const uint64_t line = line_addr;
     const unsigned socket = socketOf(core);
+    noteSocket(socket);
     const LineState state =
         written ? LineState::Modified : LineState::Shared;
     DirectoryCache &l3 = l3_[socket];
@@ -518,7 +540,10 @@ MemSystem::reset()
         cache.reset();
     for (auto &cache : l3_)
         cache.reset();
-    home_.clear();
+    if (homeLive_)
+        home_.clear();
+    homeLive_ = false;
+    soleSocket_ = -1;
     dramFree_.assign(config_.numCores, 0.0);
     dramShare_.assign(config_.numSockets(), config_.dramTransferCycles);
     stats_ = MemStats();
@@ -582,9 +607,11 @@ MemSystem::checkInvariants() const
         l3_[s].forEachLine([&](const DirectoryWay &way) {
             ++l3_lines;
             const HomeEntry *home = home_.find(way.tag);
-            if (l3_.size() == 1 && (home || way.shared))
+            if (!homeLive_ && static_cast<int>(s) != soleSocket_)
+                fail("L3 line outside the sole socket", way.tag, s);
+            else if (!homeLive_ && (home || way.shared))
                 fail("single-socket line with home state", way.tag, s);
-            else if (l3_.size() > 1 && (!home || !home->sockets.test(s)))
+            else if (homeLive_ && (!home || !home->sockets.test(s)))
                 fail("L3 line missing from its home mask", way.tag, s);
             else if (home && !way.shared &&
                      home->sockets != CoreSet<kMaxSockets>::single(s))
@@ -619,7 +646,7 @@ MemSystem::checkInvariants() const
                  !home.sockets.test(static_cast<unsigned>(home.ownerSocket)))
             fail("home entry names a non-holder as owner", line, 0);
     });
-    if (home_bits != (l3_.size() > 1 ? l3_lines : 0))
+    if (home_bits != (homeLive_ ? l3_lines : 0))
         fail("home masks name L3s without the line", home_bits, 0);
     return error;
 }
@@ -628,12 +655,12 @@ MemSystem::DirFootprint
 MemSystem::dirFootprint() const
 {
     DirFootprint fp;
-    if (l3_.size() > 1) {
+    if (homeLive_) {
         fp.lines = home_.size();
         if (fp.lines > 0)
             fp.bytesPerLine = static_cast<double>(home_.bytes()) / fp.lines;
-    } else {
-        fp.lines = l3_[0].occupancy();
+    } else if (soleSocket_ >= 0) {
+        fp.lines = l3_[soleSocket_].occupancy();
     }
     for (const DirectoryCache &l3 : l3_) {
         fp.wayBytes += l3.geometry().numLines() *

@@ -23,9 +23,14 @@
  *     socket mask of L3 holders and, for a line in two or more L3s,
  *     the socket recording its owner. It is read on L3 misses and,
  *     for lines flagged as held by another socket, on stores and
- *     downgrades; lines private to one socket never consult it. A
- *     single-socket machine keeps no home map: its L3 is the whole
- *     directory.
+ *     downgrades; lines private to one socket never consult it. The
+ *     map exists only once a second socket is in use: while the cores
+ *     of one socket alone have touched memory since construction or
+ *     reset(), that socket's L3 is the whole directory. This covers a
+ *     single-socket machine and a run with fewer threads than one
+ *     socket has cores. When a core of a second socket first touches
+ *     memory, the map is built from the first socket's L3 ways, each
+ *     line with that socket alone in its mask.
  * Invalidation visits holders socket by socket in ascending order,
  * then cores ascending within a socket: ascending global core order.
  * Stores to shared lines invalidate remote copies; reads of remotely
@@ -187,6 +192,8 @@ class MemSystem
     /**
      * Check the directory against the caches (testing hook):
      *   - L1 within L2 within the own socket's L3, per core;
+     *   - with no home map, only one socket's L3 holds lines and no
+     *     way is flagged as shared;
      *   - a core-valid bit is set exactly when the line is in that
      *     core's L2;
      *   - each home socket mask equals the set of L3s holding the line,
@@ -204,7 +211,7 @@ class MemSystem
     struct DirFootprint
     {
         uint64_t lines = 0;      ///< distinct lines held by any L3
-        double bytesPerLine = 0; ///< home map slot bytes / lines (0: none)
+        double bytesPerLine = 0; ///< home map slot bytes / lines (0: no map)
         uint64_t wayBytes = 0;   ///< directory state in all L3 ways
     };
     DirFootprint dirFootprint() const;
@@ -232,6 +239,21 @@ class MemSystem
     {
         return core % config_.coresPerSocket;
     }
+
+    /**
+     * Note that a core of @p socket is about to touch memory. The
+     * first socket to do so becomes the sole socket; the first core of
+     * any other socket brings the home map to life.
+     */
+    void
+    noteSocket(unsigned socket)
+    {
+        if (!homeLive_ && static_cast<int>(socket) != soleSocket_)
+            [[unlikely]] admitSocket(socket);
+    }
+
+    /** noteSocket()'s cold path: claim the sole socket or build home_. */
+    void admitSocket(unsigned socket);
 
     /** Remove a line from one core's L1+L2; @return true if dirty. */
     bool invalidateCore(unsigned core, uint64_t line);
@@ -291,7 +313,10 @@ class MemSystem
     std::vector<DirectoryCache> l3_;   ///< per socket
     std::vector<double> dramFree_;     ///< per-core channel free time
     std::vector<double> dramShare_;    ///< per-socket cycles per transfer
-    FlatMap<HomeEntry> home_;          ///< L3 holders; empty on 1 socket
+    FlatMap<HomeEntry> home_;          ///< L3 holders, while homeLive_
+    /** The one socket in use while !homeLive_; -1 before any access. */
+    int soleSocket_ = -1;
+    bool homeLive_ = false;  ///< a second socket is in use: home_ is kept
     MemStats stats_;
     bool functional_ = false;  ///< suppress timing/stats during warmup
 };

@@ -11,6 +11,8 @@
 #include <bit>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/artifacts.h"
 #include "src/core/barrierpoint.h"
@@ -165,6 +167,76 @@ TEST(ArtifactsTest, SnapshotArtifactRoundTrip)
                 EXPECT_EQ(ea[e].llcDirty, eb[e].llcDirty);
             }
         }
+    }
+}
+
+/** @return the first non-empty per-core list of a snapshot set. */
+std::vector<MruEntry> &
+firstNonEmptyList(MruSnapshotSet &snapshots)
+{
+    for (auto &per_core : snapshots) {
+        for (auto &list : per_core) {
+            if (!list.empty())
+                return list;
+        }
+    }
+    ADD_FAILURE() << "every per-core list is empty";
+    return snapshots.at(0).at(0);
+}
+
+/**
+ * A checksum says nothing about meaning. Each forged set below is
+ * re-checksummed by saveArtifact, so only the loader's meaning checks
+ * stand between it and a warmup: no capture of the workload could
+ * have produced it, and it must be rejected.
+ */
+TEST(ArtifactsTest, ForgedSnapshotSetsAreRejected)
+{
+    const WorkloadSpec spec = smallSpec();
+    const auto workload = spec.instantiate();
+    const MachineConfig machine = MachineConfig::withCores(spec.threads);
+    const BarrierPointAnalysis analysis = analyzeWorkload(*workload);
+    SnapshotArtifact valid;
+    valid.workload = spec;
+    valid.capacityLines = mruCapacityLines(machine);
+    valid.privateLines = mruPrivateLines(machine);
+    valid.regions = analysis.pointRegions();
+    valid.snapshots = captureAnalysisSnapshots(*workload, machine, analysis);
+    ASSERT_FALSE(firstNonEmptyList(valid.snapshots).empty());
+
+    TempFile file("forged_snapshots.bp");
+    saveArtifact(file.path(), valid);
+    EXPECT_NO_THROW(loadSnapshotArtifact(file.path()));
+
+    using Forgery = void (*)(SnapshotArtifact &);
+    const std::pair<const char *, Forgery> forgeries[] = {
+        {"a per-core list too many",
+         [](SnapshotArtifact &a) { a.snapshots[0].emplace_back(); }},
+        {"a per-core list too few",
+         [](SnapshotArtifact &a) { a.snapshots.back().pop_back(); }},
+        {"a list longer than the capture capacity",
+         [](SnapshotArtifact &a) {
+             a.capacityLines = firstNonEmptyList(a.snapshots).size() - 1;
+         }},
+        {"a line listed twice by one core",
+         [](SnapshotArtifact &a) {
+             auto &list = firstNonEmptyList(a.snapshots);
+             list.push_back(list.front());
+         }},
+        {"an entry both written and LLC-dirty",
+         [](SnapshotArtifact &a) {
+             MruEntry &entry = firstNonEmptyList(a.snapshots).front();
+             entry.written = entry.llcDirty = true;
+         }},
+        {"a snapshot without its region",
+         [](SnapshotArtifact &a) { a.snapshots.pop_back(); }},
+    };
+    for (const auto &[what, forge] : forgeries) {
+        SnapshotArtifact forged = valid;
+        forge(forged);
+        saveArtifact(file.path(), forged);
+        EXPECT_THROW(loadSnapshotArtifact(file.path()), SerializeError)
+            << what;
     }
 }
 

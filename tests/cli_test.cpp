@@ -5,8 +5,9 @@
  * usage errors (2) from runtime failures (1) and success (0).
  *
  * The binary path is injected by CMake as BP_CLI_PATH; these tests
- * only exercise cheap paths (help and error handling), not full
- * pipeline runs — those live in the CI artifact-flow jobs.
+ * only exercise cheap paths (help, error handling, and one tiny
+ * artifact chain for the forged-snapshot case), not full pipeline
+ * runs — those live in the CI artifact-flow jobs.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <string>
 
 #include <sys/wait.h>
+
+#include "src/core/artifacts.h"
 
 namespace {
 
@@ -315,6 +318,59 @@ TEST(CliTest, RuntimeFailuresExitOne)
     const RunResult report = runCli(
         "report --analysis /nonexistent/x.analysis.bp --result y.bp");
     EXPECT_EQ(report.exitCode, 1);
+}
+
+/** @return the bytes of @p path ("" when unreadable). */
+std::string
+readFile(const std::string &path)
+{
+    std::string bytes;
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        return bytes;
+    std::array<char, 4096> buffer;
+    size_t n;
+    while ((n = fread(buffer.data(), 1, buffer.size(), file)) > 0)
+        bytes.append(buffer.data(), n);
+    std::fclose(file);
+    return bytes;
+}
+
+TEST(CliTest, ForgedSnapshotsAreRecapturedNotReplayed)
+{
+    const std::string dir = ::testing::TempDir() + "cli_forged_";
+    const std::string profile = dir + "p.bp", analysis = dir + "a.bp",
+                      snapshots = dir + "s.bp", first = dir + "r1.bp",
+                      second = dir + "r2.bp";
+    ASSERT_EQ(runCli("profile --workload npb-is --threads 2 --scale 0.05 "
+                     "-o " + profile).exitCode, 0);
+    ASSERT_EQ(runCli("analyze --profile " + profile + " -o " + analysis)
+                  .exitCode, 0);
+    const std::string simulate =
+        "simulate --analysis " + analysis + " --machine 2-core --snapshots " +
+        snapshots + " -o ";
+    ASSERT_EQ(runCli(simulate + first).exitCode, 0);
+    const std::string captured = readFile(snapshots);
+    ASSERT_FALSE(captured.empty());
+
+    // An entry both written and LLC-dirty, re-checksummed: no capture
+    // produces one, so the set is unreadable and is captured afresh.
+    bp::SnapshotArtifact forged = bp::loadSnapshotArtifact(snapshots);
+    ASSERT_FALSE(forged.snapshots.back()[0].empty());
+    bp::MruEntry &entry = forged.snapshots.back()[0].front();
+    entry.written = entry.llcDirty = true;
+    bp::saveArtifact(snapshots, forged);
+
+    const RunResult rerun = runCli(simulate + second);
+    EXPECT_EQ(rerun.exitCode, 0);
+    EXPECT_NE(rerun.output.find("unreadable"), std::string::npos)
+        << rerun.output;
+    EXPECT_EQ(readFile(second), readFile(first));
+    EXPECT_EQ(readFile(snapshots), captured);
+
+    for (const std::string &path :
+         {profile, analysis, snapshots, first, second})
+        std::remove(path.c_str());
 }
 
 } // namespace

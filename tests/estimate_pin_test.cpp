@@ -70,6 +70,18 @@ const GoldenCase kGoldens[] = {
      0x4103dc910e9f0752ull, 0x40fb030000000000ull, 0x40ac680000000000ull,
      0x40ac680000000000ull,
      0x412111d4c4aa7438ull, 0x41040d266f20baeeull},
+    // Fewer threads than cores on the 32-core machine, recorded with the
+    // home map kept from the first access, before it was built only once
+    // a second socket is in use: 8 threads keep to socket 0, and with
+    // 12 socket 1 joins while socket 0 already holds lines.
+    {"npb-cg", 8u, 0.1, 32u,
+     0x411775e2eb141f44ull, 0x411ee6e800000000ull, 0x40cd620000000000ull,
+     0x40cd620000000000ull,
+     0x4153abad068ca463ull, 0x41177d94eb141f44ull},
+    {"npb-is", 12u, 0.25, 32u,
+     0x41127c6f5f86839eull, 0x4112078000000000ull, 0x40c8770000000000ull,
+     0x40d3c14000000000ull,
+     0x412dbc8141202581ull, 0x4110dd6e9f0cb588ull},
 };
 
 class EstimatePinTest : public ::testing::TestWithParam<GoldenCase>

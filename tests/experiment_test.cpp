@@ -374,6 +374,39 @@ TEST(ExperimentTest, ForeignWorkloadArtifactIsRejectedAndRecomputed)
     EXPECT_EQ(loadProfileArtifact(files[0]).workload, spec);
 }
 
+TEST(ExperimentTest, ForgedSnapshotArtifactIsRejectedAndRecaptured)
+{
+    const WorkloadSpec spec = smallSpec();
+    const MachineConfig machine = MachineConfig::withCores(spec.threads);
+    TempDir dir("experiment_forged_snapshots");
+    Experiment::Config config;
+    config.artifactDir = dir.path();
+
+    std::vector<RegionStats> want;
+    {
+        Experiment session(spec, config);
+        want = session.simulate(machine).stats;
+    }
+    const auto files = dir.filesMatching(".snapshots.bp");
+    ASSERT_EQ(files.size(), 1u);
+    const std::string captured = fileBytes(files[0]);
+
+    // A line listed twice by one core, re-checksummed: the set can
+    // come from no capture, so it is unreadable, not a warm start.
+    SnapshotArtifact forged = loadSnapshotArtifact(files[0]);
+    auto &list = forged.snapshots.back()[0];
+    ASSERT_FALSE(list.empty());
+    list.push_back(list.front());
+    saveArtifact(files[0], forged);
+    for (const std::string &path : dir.filesMatching(".result.bp"))
+        std::filesystem::remove(path);
+
+    Experiment session(spec, config);
+    expectStatsBitEqual(session.simulate(machine).stats, want);
+    // ... and the forged artifact was replaced by the recapture.
+    EXPECT_EQ(fileBytes(files[0]), captured);
+}
+
 TEST(ExperimentTest, SeedingInvalidatesDerivedStages)
 {
     Experiment experiment(smallSpec());

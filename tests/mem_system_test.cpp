@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/memsys/mem_system.h"
 #include "src/support/rng.h"
@@ -310,6 +311,30 @@ configWide(unsigned cores)
     return c;
 }
 
+TEST(MemSystemTest, UnderSubscribedMachineKeepsNoHomeMap)
+{
+    // 8 active cores on the 32-core machine are all in socket 0: its
+    // L3 is the whole directory until a core of socket 1 arrives.
+    MemSystem m(config32());
+    uint64_t seed = 11;
+    for (int i = 0; i < 20000; ++i) {
+        const unsigned core = static_cast<unsigned>(splitMix64(seed) % 8);
+        m.access(core, addrOfLine(splitMix64(seed) % 4096), i % 5 == 0,
+                 0.0);
+    }
+    const MemSystem::DirFootprint fp = m.dirFootprint();
+    EXPECT_GT(fp.lines, 0u);
+    EXPECT_EQ(fp.lines, m.l3Occupancy(0));
+    EXPECT_EQ(fp.bytesPerLine, 0.0);
+    EXPECT_EQ(m.checkInvariants(), "");
+
+    m.access(8, addrOfLine(1u << 20), false, 0.0);
+    const MemSystem::DirFootprint joined = m.dirFootprint();
+    EXPECT_EQ(joined.lines, m.l3Occupancy(0) + 1);
+    EXPECT_GT(joined.bytesPerLine, 0.0);
+    EXPECT_EQ(m.checkInvariants(), "");
+}
+
 TEST(MemSystemTest, SixtyFourCoreMachineConstructs)
 {
     MemSystem m(configWide(64));
@@ -563,6 +588,72 @@ TEST_P(DirectoryInvariantTest, HoldsUnderEvictionPressure)
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryInvariantTest,
                          ::testing::Values(8u, 32u, 48u, 1024u));
+
+/**
+ * The home map across the arrival of further sockets on the 32-core
+ * machine, with the shrunken caches and operation mix above. Cores of
+ * socket 0 run alone (no home map), then socket 2 joins, whose first
+ * operation is a written install of a line socket 0 holds; then
+ * socket 1 joins. After reset() the sockets arrive again in another
+ * order, socket 3 first. checkInvariants() must hold after every
+ * operation.
+ */
+TEST(DirectoryInvariantTest, HoldsAcrossSocketArrivals)
+{
+    MemSystemConfig cfg = configWide(32);
+    cfg.l1d = CacheGeometry{128, 2, 4};
+    cfg.l2 = CacheGeometry{256, 2, 8};
+    cfg.l3 = CacheGeometry{512, 2, 30};
+    MemSystem m(cfg);
+
+    uint64_t seed = 0x50C4E7;
+    const uint64_t footprint = 32 * cfg.l3.numLines();
+    uint64_t last_line = 0;
+    const auto run = [&](const std::vector<unsigned> &sockets, int ops) {
+        for (int i = 0; i < ops; ++i) {
+            const uint64_t line = splitMix64(seed) % footprint;
+            const unsigned socket = sockets[splitMix64(seed) % sockets.size()];
+            const unsigned core =
+                socket * cfg.coresPerSocket +
+                static_cast<unsigned>(splitMix64(seed) % cfg.coresPerSocket);
+            const uint64_t r = splitMix64(seed);
+            if (r % 4 == 0) {
+                m.installFunctional(core, line, (r >> 8) % 3 == 0,
+                                    (r >> 16) % 4 == 0);
+            } else {
+                m.access(core, addrOfLine(line), (r >> 8) % 3 == 0, 0.0);
+            }
+            last_line = line;
+            ASSERT_EQ(m.checkInvariants(), "")
+                << "sockets " << sockets.size() << ", operation " << i;
+        }
+    };
+    const auto expect_no_home_map = [&](unsigned socket) {
+        const MemSystem::DirFootprint fp = m.dirFootprint();
+        EXPECT_EQ(fp.lines, m.l3Occupancy(socket));
+        EXPECT_EQ(fp.bytesPerLine, 0.0);
+    };
+
+    ASSERT_NO_FATAL_FAILURE(run({0}, 3000));
+    expect_no_home_map(0);
+    EXPECT_GT(m.stats().dramWrites, 0u);
+
+    m.installFunctional(2 * cfg.coresPerSocket, last_line, true, false);
+    ASSERT_EQ(m.checkInvariants(), "");
+    EXPECT_GT(m.dirFootprint().bytesPerLine, 0.0);
+    ASSERT_NO_FATAL_FAILURE(run({0, 2}, 2000));
+    ASSERT_NO_FATAL_FAILURE(run({0, 1, 2}, 2000));
+    EXPECT_GT(m.stats().remoteHits, 0u);
+
+    m.reset();
+    ASSERT_EQ(m.checkInvariants(), "");
+    EXPECT_EQ(m.dirFootprint().lines, 0u);
+    ASSERT_NO_FATAL_FAILURE(run({3}, 2000));
+    expect_no_home_map(3);
+    ASSERT_NO_FATAL_FAILURE(run({3, 1}, 2000));
+    ASSERT_NO_FATAL_FAILURE(run({1, 3, 0}, 2000));
+    EXPECT_GT(m.stats().remoteHits, 0u);
+}
 
 } // namespace
 } // namespace bp
