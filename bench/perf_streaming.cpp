@@ -173,7 +173,8 @@ main(int argc, char **argv)
         profileWorkloadToSink(workload, options.profiling, analyzer);
         analysis = analyzer.finish();
     } else {
-        analysis = analyzeWorkload(workload, options);
+        analysis = analyzeProfiles(
+            profileWorkload(workload, options.profiling), options);
     }
     const double elapsed = now() - start;
     const uint64_t rss = peakRssBytes();

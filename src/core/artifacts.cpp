@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/support/flat_map.h"
 #include "src/support/logging.h"
 #include "src/support/serialize.h"
 #include "src/workloads/registry.h"
@@ -78,36 +77,6 @@ deserializeSnapshots(Deserializer &d)
         }
     }
     return snapshots;
-}
-
-/**
- * @return why @p artifact cannot be a capture of its workload, or
- * nullptr. MruTracker::snapshot lists each retained line once, at
- * most the tracker's capacity, with at most one of its two flags.
- */
-const char *
-snapshotError(const SnapshotArtifact &artifact)
-{
-    if (artifact.snapshots.size() != artifact.regions.size())
-        return "snapshot count differs from the region count";
-    FlatMap<bool> seen;
-    for (const auto &per_core : artifact.snapshots) {
-        if (per_core.size() != artifact.workload.threads)
-            return "per-core list count differs from the thread count";
-        for (const auto &entries : per_core) {
-            if (entries.size() > artifact.capacityLines)
-                return "per-core list longer than the capture capacity";
-            seen.clear();
-            seen.reserve(entries.size());
-            for (const MruEntry &entry : entries) {
-                if (!seen.insert(entry.line).second)
-                    return "line repeated within a per-core list";
-                if (entry.written && entry.llcDirty)
-                    return "entry both written and LLC-dirty";
-            }
-        }
-    }
-    return nullptr;
 }
 
 } // namespace
@@ -283,7 +252,9 @@ loadSnapshotArtifact(const std::string &path)
         region = d.u32();
     artifact.snapshots = deserializeSnapshots(d);
     d.expectEnd();
-    if (const char *error = snapshotError(artifact))
+    if (const char *error = snapshotSetError(
+            artifact.snapshots, artifact.regions.size(),
+            artifact.workload.threads, artifact.capacityLines))
         throw SerializeError(std::string("snapshot artifact: ") + error);
     return artifact;
 }
@@ -345,38 +316,6 @@ fixupDoublesLe(double *data, size_t n)
     }
 }
 
-void
-putU32Le(uint8_t *out, uint32_t v)
-{
-    for (unsigned b = 0; b < 4; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-void
-putU64Le(uint8_t *out, uint64_t v)
-{
-    for (unsigned b = 0; b < 8; ++b)
-        out[b] = static_cast<uint8_t>(v >> (8 * b));
-}
-
-uint32_t
-getU32Le(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (unsigned b = 0; b < 4; ++b)
-        v |= static_cast<uint32_t>(in[b]) << (8 * b);
-    return v;
-}
-
-uint64_t
-getU64Le(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<uint64_t>(in[b]) << (8 * b);
-    return v;
-}
-
 } // namespace
 
 SignatureSpillWriter::SignatureSpillWriter(const std::string &path,
@@ -390,10 +329,10 @@ SignatureSpillWriter::SignatureSpillWriter(const std::string &path,
         throw SerializeError("cannot create signature spill file '" +
                              path + "'");
     uint8_t header[kSpillHeaderBytes] = {};
-    putU32Le(header, kSpillMagic);
-    putU32Le(header + 4, kSpillVersion);
-    putU32Le(header + 8, dim_);
-    putU64Le(header + kSpillCountOffset, 0);  // patched on close()
+    leStore32(header, kSpillMagic);
+    leStore32(header + 4, kSpillVersion);
+    leStore32(header + 8, dim_);
+    leStore64(header + kSpillCountOffset, 0);  // patched on close()
     if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
         std::fclose(file_);
         file_ = nullptr;
@@ -440,7 +379,7 @@ SignatureSpillWriter::close()
     std::FILE *file = file_;
     file_ = nullptr;
     uint8_t le[8];
-    putU64Le(le, count_);
+    leStore64(le, count_);
     const bool ok = std::fseek(file, kSpillCountOffset, SEEK_SET) == 0 &&
                     std::fwrite(le, 1, sizeof(le), file) == sizeof(le) &&
                     std::fflush(file) == 0;
@@ -462,10 +401,10 @@ SignatureSpillReader::SignatureSpillReader(const std::string &path)
         throw SerializeError("signature spill '" + path +
                              "' is too short for its header");
     }
-    const uint32_t magic = getU32Le(header);
-    const uint32_t version = getU32Le(header + 4);
-    dim_ = getU32Le(header + 8);
-    count_ = getU64Le(header + kSpillCountOffset);
+    const uint32_t magic = leLoad32(header);
+    const uint32_t version = leLoad32(header + 4);
+    dim_ = leLoad32(header + 8);
+    count_ = leLoad64(header + kSpillCountOffset);
     bool bad = magic != kSpillMagic || version != kSpillVersion ||
                dim_ == 0;
     if (!bad) {

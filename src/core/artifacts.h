@@ -156,9 +156,8 @@ void saveArtifact(const std::string &path, const RunResultArtifact &artifact);
 
 /**
  * Each loader throws SerializeError on any malformed input. A snapshot
- * set must also read as a capture of its workload: one snapshot per
- * region, one list per thread, each no longer than capacityLines,
- * with no line listed twice and no entry both written and llcDirty.
+ * artifact must also pass snapshotSetError() (pipeline.h) against its
+ * own regions, workload threads and capacityLines.
  */
 ProfileArtifact loadProfileArtifact(const std::string &path);
 AnalysisArtifact loadAnalysisArtifact(const std::string &path);

@@ -11,8 +11,8 @@
  *   use(run.estimate);
  * @endcode
  *
- * The stateless building blocks (pipeline.h free functions) remain
- * available for one-off stages and option sweeps.
+ * The stateless kernels Experiment calls (pipeline.h) stay public
+ * for one-off stages and option sweeps.
  */
 
 #ifndef BP_CORE_BARRIERPOINT_H

@@ -74,33 +74,31 @@ saveLending(const std::string &path, Artifact &artifact, T &member,
 
 Experiment::Experiment(WorkloadSpec spec, Config config,
                        ExecutionContext exec)
-    : owned_(spec.instantiate()), workload_(owned_.get()),
-      // Re-describe rather than keep the caller's spec: describe() is
+    : Experiment(spec.instantiate(), std::move(config), std::move(exec))
+{}
+
+Experiment::Experiment(std::unique_ptr<Workload> workload, Config config,
+                       ExecutionContext exec)
+    : Experiment(std::move(workload), nullptr, std::move(config),
+                 std::move(exec))
+{}
+
+Experiment::Experiment(const Workload &workload, Config config,
+                       ExecutionContext exec)
+    : Experiment(nullptr, &workload, std::move(config), std::move(exec))
+{}
+
+Experiment::Experiment(std::unique_ptr<Workload> owned,
+                       const Workload *borrowed, Config config,
+                       ExecutionContext exec)
+    : owned_(std::move(owned)), workload_(owned_ ? owned_.get() : borrowed),
+      // Re-describe rather than keep a caller's spec: describe() is
       // canonical (trace workloads pin scale/seed and take threads
       // from the file; contentHash is filled in), so artifact names
       // and embedded specs never depend on how the caller spelled the
       // parameters.
       spec_(WorkloadSpec::describe(*workload_)), config_(std::move(config)),
       exec_(std::move(exec)), optionsHash_(analysisKeyHash(config_)),
-      profilingHash_(bp::profilingHash(config_.options.profiling)),
-      stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
-{}
-
-Experiment::Experiment(std::unique_ptr<Workload> workload, Config config,
-                       ExecutionContext exec)
-    : owned_(std::move(workload)), workload_(owned_.get()),
-      spec_(WorkloadSpec::describe(*workload_)),
-      config_(std::move(config)), exec_(std::move(exec)),
-      optionsHash_(analysisKeyHash(config_)),
-      profilingHash_(bp::profilingHash(config_.options.profiling)),
-      stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
-{}
-
-Experiment::Experiment(const Workload &workload, Config config,
-                       ExecutionContext exec)
-    : workload_(&workload), spec_(WorkloadSpec::describe(workload)),
-      config_(std::move(config)), exec_(std::move(exec)),
-      optionsHash_(analysisKeyHash(config_)),
       profilingHash_(bp::profilingHash(config_.options.profiling)),
       stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
 {}
@@ -115,6 +113,12 @@ std::string
 Experiment::machineKey(const MachineConfig &machine)
 {
     return sanitizeName(machine.name) + "-" + hex16(configHash(machine));
+}
+
+Experiment::ResultKey
+Experiment::resultKey(const MachineConfig &machine, WarmupPolicy policy)
+{
+    return {machineKey(machine), static_cast<int>(policy)};
 }
 
 void
@@ -239,13 +243,18 @@ Experiment::profiles()
         profileWorkload(*workload_, config_.options.profiling, exec_);
     if (!path.empty()) {
         ensureArtifactDir();
-        ProfileArtifact artifact;
-        artifact.workload = spec_;
-        artifact.profiling = config_.options.profiling;
-        saveLending(path, artifact, *profiles_,
-                    &ProfileArtifact::profiles);
+        saveProfiles(path);
     }
     return *profiles_;
+}
+
+void
+Experiment::saveProfiles(const std::string &path)
+{
+    ProfileArtifact artifact;
+    artifact.workload = spec_;
+    artifact.profiling = config_.options.profiling;
+    saveLending(path, artifact, *profiles_, &ProfileArtifact::profiles);
 }
 
 void
@@ -331,13 +340,18 @@ Experiment::analysis()
     }
     if (!seeded_ && !path.empty()) {
         ensureArtifactDir();
-        AnalysisArtifact artifact;
-        artifact.workload = spec_;
-        artifact.optionsHash = optionsHash_;
-        saveLending(path, artifact, *analysis_,
-                    &AnalysisArtifact::analysis);
+        saveAnalysis(path);
     }
     return *analysis_;
+}
+
+void
+Experiment::saveAnalysis(const std::string &path)
+{
+    AnalysisArtifact artifact;
+    artifact.workload = spec_;
+    artifact.optionsHash = optionsHash_;
+    saveLending(path, artifact, *analysis_, &AnalysisArtifact::analysis);
 }
 
 void
@@ -395,20 +409,25 @@ Experiment::snapshots(const MachineConfig &machine)
     if (!seeded_ && !path.empty() && tryLoadSnapshots(path, key))
         return snapshots_.at(key);
 
-    const BarrierPointAnalysis &a = analysis();
-    MruSnapshotSet snapshots =
-        captureAnalysisSnapshots(*workload_, machine, a);
+    snapshots_[key] =
+        captureAnalysisSnapshots(*workload_, machine, analysis());
     if (!seeded_ && !path.empty()) {
         ensureArtifactDir();
-        SnapshotArtifact artifact;
-        artifact.workload = spec_;
-        artifact.capacityLines = key.first;
-        artifact.privateLines = key.second;
-        artifact.regions = a.pointRegions();
-        saveLending(path, artifact, snapshots,
-                    &SnapshotArtifact::snapshots);
+        saveSnapshots(path, key);
     }
-    return snapshots_[key] = std::move(snapshots);
+    return snapshots_.at(key);
+}
+
+void
+Experiment::saveSnapshots(const std::string &path, const SnapshotKey &key)
+{
+    SnapshotArtifact artifact;
+    artifact.workload = spec_;
+    artifact.capacityLines = key.first;
+    artifact.privateLines = key.second;
+    artifact.regions = analysis().pointRegions();
+    saveLending(path, artifact, snapshots_.at(key),
+                &SnapshotArtifact::snapshots);
 }
 
 bool
@@ -429,10 +448,14 @@ void
 Experiment::seedSnapshots(const MachineConfig &machine,
                           MruSnapshotSet snapshots)
 {
-    if (snapshots.size() != analysis().points.size())
-        fatal("seeded snapshot set holds %zu snapshots but the analysis "
-              "selects %zu barrierpoints",
-              snapshots.size(), analysis().points.size());
+    // The meaning check a snapshot artifact passes on load: seeding is
+    // the one way an externally built set reaches the simulator.
+    if (const char *error = snapshotSetError(
+            snapshots, analysis().points.size(), workload_->threadCount(),
+            mruCapacityLines(machine)))
+        fatal("seeded snapshot set is not a capture of this analysis on "
+              "machine %s: %s",
+              machine.name.c_str(), error);
     // Results simulated with a previously cached set for this
     // capacity no longer describe what a fresh simulate() would do.
     results_.clear();
@@ -446,35 +469,22 @@ void
 Experiment::exportProfiles(const std::string &path)
 {
     profiles();
-    ProfileArtifact artifact;
-    artifact.workload = spec_;
-    artifact.profiling = config_.options.profiling;
-    saveLending(path, artifact, *profiles_, &ProfileArtifact::profiles);
+    saveProfiles(path);
 }
 
 void
 Experiment::exportAnalysis(const std::string &path)
 {
     analysis();
-    AnalysisArtifact artifact;
-    artifact.workload = spec_;
-    artifact.optionsHash = optionsHash_;
-    saveLending(path, artifact, *analysis_, &AnalysisArtifact::analysis);
+    saveAnalysis(path);
 }
 
 void
 Experiment::exportSnapshots(const MachineConfig &machine,
                             const std::string &path)
 {
-    const SnapshotKey key = snapshotKey(machine);
     snapshots(machine);
-    SnapshotArtifact artifact;
-    artifact.workload = spec_;
-    artifact.capacityLines = key.first;
-    artifact.privateLines = key.second;
-    artifact.regions = analysis().pointRegions();
-    saveLending(path, artifact, snapshots_.at(key),
-                &SnapshotArtifact::snapshots);
+    saveSnapshots(path, snapshotKey(machine));
 }
 
 // ----------------------------------------------------------- simulation
@@ -539,40 +549,9 @@ Experiment::tryLoadResult(const std::string &path, const ResultKey &key,
     }
 }
 
-const SimulationResult &
-Experiment::simulate(const MachineConfig &machine, WarmupPolicy policy)
-{
-    requireMachineFits(machine);
-    const ResultKey key{machineKey(machine), static_cast<int>(policy)};
-    auto it = results_.find(key);
-    if (it != results_.end())
-        return it->second;
-    const std::string path = resultPath(machine, policy);
-    if (!seeded_ && !path.empty() &&
-        tryLoadResult(path, key, machine, policy))
-        return results_.at(key);
-
-    const BarrierPointAnalysis &a = analysis();
-    std::vector<RegionStats> stats;
-    if (policy == WarmupPolicy::MruReplay) {
-        stats = simulateBarrierPoints(*workload_, machine, a,
-                                      snapshots(machine), exec_);
-    } else {
-        stats = simulateBarrierPoints(*workload_, machine, a, policy,
-                                      exec_);
-    }
-    return storeResult(key, machine, policy, std::move(stats));
-}
-
-const Estimate &
-Experiment::estimate(const MachineConfig &machine, WarmupPolicy policy)
-{
-    return simulate(machine, policy).estimate;
-}
-
-std::vector<SimulationResult>
-Experiment::sweep(const std::vector<MachineConfig> &machines,
-                  WarmupPolicy policy)
+void
+Experiment::simulateMissing(std::span<const MachineConfig> machines,
+                            WarmupPolicy policy)
 {
     struct Pending
     {
@@ -583,8 +562,7 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
     std::vector<Pending> pending;
     for (const MachineConfig &machine : machines) {
         requireMachineFits(machine);
-        const ResultKey key{machineKey(machine),
-                            static_cast<int>(policy)};
+        const ResultKey key = resultKey(machine, policy);
         if (results_.count(key))
             continue;
         bool queued = false;
@@ -598,35 +576,52 @@ Experiment::sweep(const std::vector<MachineConfig> &machines,
             continue;
         pending.push_back({&machine, key, nullptr});
     }
+    if (pending.empty())
+        return;
 
-    if (!pending.empty()) {
-        const BarrierPointAnalysis &a = analysis();
-        // Warmup capture is inherently serial; do it up front (one set
-        // per distinct capture capacity, shared across machines) so
-        // the fan-out below only reads.
-        if (policy == WarmupPolicy::MruReplay) {
-            for (Pending &p : pending)
-                p.snapshots = &snapshots(*p.machine);
-        }
-
-        // One fan-out over every (machine, barrierpoint) pair on the
-        // shared pool: results are bit-identical to per-machine
-        // simulate() calls while short per-machine tails overlap.
-        std::vector<MachineJob> jobs;
-        for (const Pending &p : pending)
-            jobs.push_back({p.machine, p.snapshots});
-        auto stats = simulateMachines(*workload_, a, jobs, exec_);
-        for (size_t mi = 0; mi < pending.size(); ++mi) {
-            storeResult(pending[mi].key, *pending[mi].machine, policy,
-                        std::move(stats[mi]));
-        }
+    const BarrierPointAnalysis &a = analysis();
+    // Warmup capture is inherently serial; do it up front (one set per
+    // distinct capture capacity, shared across machines) so the
+    // fan-out below only reads.
+    if (policy == WarmupPolicy::MruReplay) {
+        for (Pending &p : pending)
+            p.snapshots = &snapshots(*p.machine);
     }
 
+    // One fan-out over every (machine, barrierpoint) pair on the
+    // shared pool, so short per-machine tails overlap.
+    std::vector<MachineJob> jobs;
+    for (const Pending &p : pending)
+        jobs.push_back({p.machine, p.snapshots});
+    auto stats = simulateMachines(*workload_, a, jobs, exec_);
+    for (size_t mi = 0; mi < pending.size(); ++mi) {
+        storeResult(pending[mi].key, *pending[mi].machine, policy,
+                    std::move(stats[mi]));
+    }
+}
+
+const SimulationResult &
+Experiment::simulate(const MachineConfig &machine, WarmupPolicy policy)
+{
+    simulateMissing({&machine, 1}, policy);
+    return results_.at(resultKey(machine, policy));
+}
+
+const Estimate &
+Experiment::estimate(const MachineConfig &machine, WarmupPolicy policy)
+{
+    return simulate(machine, policy).estimate;
+}
+
+std::vector<SimulationResult>
+Experiment::sweep(const std::vector<MachineConfig> &machines,
+                  WarmupPolicy policy)
+{
+    simulateMissing(machines, policy);
     std::vector<SimulationResult> out;
     out.reserve(machines.size());
     for (const MachineConfig &machine : machines)
-        out.push_back(results_.at(
-            {machineKey(machine), static_cast<int>(policy)}));
+        out.push_back(results_.at(resultKey(machine, policy)));
     return out;
 }
 

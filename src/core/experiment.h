@@ -22,8 +22,8 @@
  * analysis options, and the machine configuration, so a stale
  * artifact (different knobs, different workload) is detected and
  * recomputed, never silently reused. Reloaded or recomputed, results
- * are bit-identical to calling the pipeline.h free functions
- * directly (doubles round-trip as IEEE-754 bit images).
+ * are bit-identical to calling the pipeline.h kernels directly
+ * (doubles round-trip as IEEE-754 bit images).
  *
  * simulate() and the batched sweep() fan out on the shared pool;
  * machines with equal MRU capture capacities share snapshots
@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,7 +170,10 @@ class Experiment
      * externally hydrated: seeded stages and their derivatives are
      * memoized in memory but no longer exchanged with
      * Config::artifactDir — the content-hash keys cannot vouch for
-     * data the session did not produce itself.
+     * data the session did not produce itself. A seed that cannot
+     * belong to this workload is fatal(): profiles or an analysis of
+     * another region count, or a snapshot set that fails
+     * snapshotSetError() for this analysis, thread count and machine.
      */
     void seedProfiles(std::vector<RegionProfile> profiles);
     void seedAnalysis(BarrierPointAnalysis analysis);
@@ -204,7 +208,14 @@ class Experiment
     using SnapshotKey = std::pair<uint64_t, uint64_t>;  // capacity, private
     using ResultKey = std::pair<std::string, int>;  // machineKey, policy
 
+    /** The one constructor body: owns @p owned when non-null, else
+     *  borrows @p borrowed. */
+    Experiment(std::unique_ptr<Workload> owned, const Workload *borrowed,
+               Config config, ExecutionContext exec);
+
     static SnapshotKey snapshotKey(const MachineConfig &machine);
+    static ResultKey resultKey(const MachineConfig &machine,
+                               WarmupPolicy policy);
 
     /**
      * Identity of a machine within the session: its (sanitized) name
@@ -233,6 +244,11 @@ class Experiment
     /** Config::streaming with spillDir defaulted to artifactDir. */
     StreamingConfig effectiveStreaming();
 
+    /** Write a memoized stage to @p path (artifacts.h format). */
+    void saveProfiles(const std::string &path);
+    void saveAnalysis(const std::string &path);
+    void saveSnapshots(const std::string &path, const SnapshotKey &key);
+
     bool tryLoadProfiles(const std::string &path);
     bool tryLoadAnalysis(const std::string &path);
     bool tryLoadSnapshots(const std::string &path, const SnapshotKey &key);
@@ -241,6 +257,15 @@ class Experiment
     bool tryLoadReference(const std::string &path,
                           const std::string &machine_key,
                           const MachineConfig &machine);
+
+    /**
+     * The simulation path of simulate() and sweep(): memoize every
+     * machine of @p machines under @p policy, reloading its result
+     * artifact when one matches and otherwise simulating all the rest
+     * in one simulateMachines() fan-out.
+     */
+    void simulateMissing(std::span<const MachineConfig> machines,
+                         WarmupPolicy policy);
 
     /** Wrap stats into a memoized, reconstructed SimulationResult. */
     const SimulationResult &storeResult(const ResultKey &key,

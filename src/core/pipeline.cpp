@@ -21,12 +21,6 @@ warmupPolicyName(WarmupPolicy policy)
 }
 
 std::vector<RegionProfile>
-profileWorkload(const Workload &workload, const ExecutionContext &exec)
-{
-    return profileWorkload(workload, ProfilingConfig{}, exec);
-}
-
-std::vector<RegionProfile>
 profileWorkload(const Workload &workload, const ProfilingConfig &profiling,
                 const ExecutionContext &exec)
 {
@@ -141,14 +135,6 @@ analyzeProfiles(const std::vector<RegionProfile> &profiles,
                                options.significance);
 }
 
-BarrierPointAnalysis
-analyzeWorkload(const Workload &workload, const BarrierPointOptions &options,
-                const ExecutionContext &exec)
-{
-    return analyzeProfiles(
-        profileWorkload(workload, options.profiling, exec), options, exec);
-}
-
 RunResult
 runReference(const Workload &workload, const MachineConfig &machine)
 {
@@ -156,6 +142,32 @@ runReference(const Workload &workload, const MachineConfig &machine)
                            [&](unsigned r) {
                                return workload.generateRegion(r);
                            });
+}
+
+const char *
+snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
+                 unsigned threads, uint64_t capacity_lines)
+{
+    if (snapshots.size() != points)
+        return "snapshot count differs from the barrierpoint count";
+    FlatMap<bool> seen;
+    for (const auto &per_core : snapshots) {
+        if (per_core.size() != threads)
+            return "per-core list count differs from the thread count";
+        for (const auto &entries : per_core) {
+            if (entries.size() > capacity_lines)
+                return "per-core list longer than the capture capacity";
+            seen.clear();
+            seen.reserve(entries.size());
+            for (const MruEntry &entry : entries) {
+                if (!seen.insert(entry.line).second)
+                    return "line repeated within a per-core list";
+                if (entry.written && entry.llcDirty)
+                    return "entry both written and LLC-dirty";
+            }
+        }
+    }
+    return nullptr;
 }
 
 namespace {
@@ -297,7 +309,7 @@ captureAnalysisSnapshots(const Workload &workload,
 
 namespace {
 
-/** simulateBarrierPoint() on @p sim, which must be cold. */
+/** Simulate one barrierpoint on @p sim, which must be cold. */
 RegionStats
 runBarrierPoint(MultiCoreSim &sim, const Workload &workload,
                 const BarrierPointAnalysis &analysis, size_t point_index,
@@ -314,15 +326,6 @@ runBarrierPoint(MultiCoreSim &sim, const Workload &workload,
 
 } // namespace
 
-RegionStats
-simulateBarrierPoint(const Workload &workload, const MachineConfig &machine,
-                     const BarrierPointAnalysis &analysis,
-                     size_t point_index, const MruSnapshotSet *snapshots)
-{
-    MultiCoreSim sim(machine);
-    return runBarrierPoint(sim, workload, analysis, point_index, snapshots);
-}
-
 std::vector<std::vector<RegionStats>>
 simulateMachines(const Workload &workload,
                  const BarrierPointAnalysis &analysis,
@@ -330,6 +333,9 @@ simulateMachines(const Workload &workload,
                  const ExecutionContext &exec)
 {
     const size_t points = analysis.points.size();
+    for (const MachineJob &job : jobs)
+        BP_ASSERT(!job.snapshots || job.snapshots->size() == points,
+                  "snapshot set not indexed like the barrierpoints");
     const size_t total = jobs.size() * points;
     std::vector<std::vector<RegionStats>> stats(
         jobs.size(), std::vector<RegionStats>(points));
@@ -355,38 +361,6 @@ simulateMachines(const Workload &workload,
             }
         });
     return stats;
-}
-
-std::vector<RegionStats>
-simulateBarrierPoints(const Workload &workload, const MachineConfig &machine,
-                      const BarrierPointAnalysis &analysis,
-                      WarmupPolicy policy, const ExecutionContext &exec)
-{
-    if (policy == WarmupPolicy::MruReplay) {
-        return simulateBarrierPoints(
-            workload, machine, analysis,
-            captureAnalysisSnapshots(workload, machine, analysis), exec);
-    }
-    return std::move(
-        simulateMachines(workload, analysis, {{&machine, nullptr}}, exec)[0]);
-}
-
-std::vector<RegionStats>
-simulateBarrierPoints(const Workload &workload, const MachineConfig &machine,
-                      const BarrierPointAnalysis &analysis,
-                      const MruSnapshotSet &snapshots,
-                      const ExecutionContext &exec)
-{
-    // A mismatched snapshot set is a chaining mistake (e.g. a snapshot
-    // artifact captured for a different analysis), not a library bug:
-    // reject it cleanly instead of indexing out of range below.
-    if (snapshots.size() != analysis.points.size())
-        fatal("have %zu MRU snapshots but the analysis selects %zu "
-              "barrierpoints; the snapshot set was captured for a "
-              "different analysis",
-              snapshots.size(), analysis.points.size());
-    return std::move(simulateMachines(workload, analysis,
-                                      {{&machine, &snapshots}}, exec)[0]);
 }
 
 } // namespace bp

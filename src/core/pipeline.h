@@ -1,25 +1,20 @@
 /**
  * @file
- * End-to-end BarrierPoint pipeline (Figure 2 of the paper).
- *
- * > **Prefer `bp::Experiment` (core/experiment.h).** The facade wraps
- * > these stages in a lazy, memoizing session — profile once, derive
- * > the analysis and MRU snapshots on demand, fan per-machine
- * > simulations out on one shared pool, and persist/reload every
- * > stage through core/artifacts.h. The free functions below remain
- * > as the stateless building blocks (and for option sweeps over
- * > pre-computed profiles), and `Experiment` produces bit-identical
- * > results to calling them directly.
+ * The stateless kernels of the BarrierPoint pipeline (Figure 2 of the
+ * paper). `bp::Experiment` (core/experiment.h) is the pipeline API: it
+ * chains these kernels into a memoizing, persistable session. Call
+ * them directly only to drive one stage in isolation, e.g. an
+ * analysis-option sweep over profiles already in hand.
  *
  * One-time, microarchitecture-independent costs:
- *   profileWorkload()  -> per-region BBV/LDV profiles
- *   analyzeProfiles()  -> signatures, clustering, barrierpoints
+ *   profileWorkload()     -> per-region BBV/LDV profiles
+ *   analyzeProfiles()     -> signatures, clustering, barrierpoints
  *   captureMruSnapshots() -> warmup data at barrierpoint entries
  *
  * Per-simulation costs:
- *   runReference()          -> detailed simulation of every region
- *   simulateBarrierPoints() -> detailed simulation of only the
- *                              barrierpoints (cold or MRU-warmed)
+ *   runReference()     -> detailed simulation of every region
+ *   simulateMachines() -> detailed simulation of only the
+ *                         barrierpoints (cold or MRU-warmed)
  *
  * reconstruction.h turns barrierpoint stats into whole-program
  * estimates.
@@ -31,8 +26,8 @@
  * thread count or a shared ThreadPool): trace generation and
  * per-thread profiling in profileWorkload(), signature projection in
  * projectProfiles(), the k sweep and assignment step of clustering,
- * and per-barrierpoint simulation in simulateBarrierPoints(). Only
- * MRU snapshot capture is inherently serial (a streaming scan of the
+ * and per-barrierpoint simulation in simulateMachines(). Only MRU
+ * snapshot capture is inherently serial (a streaming scan of the
  * whole run). Determinism contract: results are collected in index
  * order and every task touches only state owned by its index, so
  * output is bit-identical to the serial path for any thread count.
@@ -79,21 +74,15 @@ class RegionProfileSink
 };
 
 /**
- * Profile every region of @p workload, in execution order.
+ * Profile every region of @p workload, in execution order, under the
+ * reuse-distance mode @p profiling: the default config is exact;
+ * SHARDS modes trade a bounded LDV error for ~1/rate less
+ * stack-distance work (see profile/profiling_config.h).
  *
  * With a multi-executor @p exec, trace generation runs ahead of the
  * profiler via lookahead prefetch and per-thread profiling fans out,
  * while the region-order reuse-distance state still advances
  * serially. Pass a thread count or a shared ThreadPool.
- */
-std::vector<RegionProfile> profileWorkload(const Workload &workload,
-                                           const ExecutionContext &exec = {});
-
-/**
- * As above with an explicit reuse-distance mode: the default-config
- * overload is exact and byte-identical to pre-knob profiles; SHARDS
- * modes trade a bounded LDV error for ~1/rate less stack-distance
- * work (see profile/profiling_config.h).
  */
 std::vector<RegionProfile> profileWorkload(const Workload &workload,
                                            const ProfilingConfig &profiling,
@@ -127,14 +116,6 @@ BarrierPointAnalysis analyzeProfiles(
     const BarrierPointOptions &options = {},
     const ExecutionContext &exec = {});
 
-/**
- * Convenience: profile + analyze in one call, every stage sharing
- * @p exec's pool.
- */
-BarrierPointAnalysis analyzeWorkload(const Workload &workload,
-                                     const BarrierPointOptions &options = {},
-                                     const ExecutionContext &exec = {});
-
 /** Detailed simulation of the complete application (the reference). */
 RunResult runReference(const Workload &workload,
                        const MachineConfig &machine);
@@ -166,6 +147,18 @@ mruPrivateLines(const MachineConfig &machine)
 }
 
 /**
+ * @return why @p snapshots cannot be an MRU capture at @p points
+ * barrierpoints of a @p threads-thread workload with per-core
+ * capacity @p capacity_lines, or nullptr. MruTracker::snapshot lists
+ * each retained line once, at most the tracker's capacity, with at
+ * most one of its two flags; a capture holds one snapshot per point
+ * and one list per thread. Snapshot artifacts and
+ * Experiment::seedSnapshots both check sets from outside with it.
+ */
+const char *snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
+                             unsigned threads, uint64_t capacity_lines);
+
+/**
  * Capture per-core MRU snapshots at the start of each listed region.
  *
  * @param workload        the application
@@ -184,79 +177,40 @@ MruSnapshotSet captureMruSnapshots(
 
 /**
  * Capture MRU snapshots at every barrierpoint of @p analysis, sized
- * for @p machine — exactly the warmup data the MruReplay policy
- * computes internally, exposed so it can be captured once, persisted,
- * and reused across simulations (see core/artifacts.h and the
- * snapshot stage of core/experiment.h).
+ * for @p machine: the warmup data a MruReplay simulation replays, and
+ * the kernel of Experiment's snapshot stage, which persists it
+ * through core/artifacts.h.
  */
 MruSnapshotSet captureAnalysisSnapshots(const Workload &workload,
                                         const MachineConfig &machine,
                                         const BarrierPointAnalysis &analysis);
 
-/**
- * Detailed-simulate one barrierpoint of @p analysis on a fresh
- * machine: the per-point steps every simulation path runs, so all of
- * them produce bit-identical stats. @p snapshots selects the
- * warmup: nullptr starts cold; non-null replays
- * (*snapshots)[point_index] and trains the branch predictors.
- */
-RegionStats simulateBarrierPoint(const Workload &workload,
-                                 const MachineConfig &machine,
-                                 const BarrierPointAnalysis &analysis,
-                                 size_t point_index,
-                                 const MruSnapshotSet *snapshots = nullptr);
-
 /** A machine for simulateMachines(), with its warmup data. */
 struct MachineJob
 {
     const MachineConfig *machine;
-    const MruSnapshotSet *snapshots;  ///< nullptr: start cold
+    /** nullptr: start cold. Otherwise indexed like analysis.points,
+     *  with at most one list per core of the machine. */
+    const MruSnapshotSet *snapshots;
 };
 
 /**
  * Simulate every barrierpoint of @p analysis on each machine of
  * @p jobs, in one fan-out over all (machine, point) pairs so that
  * short per-machine tails overlap on a multi-executor @p exec.
- * out[m][j] is bit-identical to simulateBarrierPoint(workload,
- * *jobs[m].machine, analysis, j, jobs[m].snapshots). Each executor
- * keeps one MultiCoreSim and reset()s it between points of the same
- * machine, which restores a fresh machine's state without allocating
- * and faulting in its cache arrays again.
+ *
+ * Every barrierpoint starts on a fresh machine. With snapshots, each
+ * point first replays (*jobs[m].snapshots)[j] into the caches and
+ * trains the branch predictors on its own trace; without, it starts
+ * cold. out[m][j] is the stats of analysis.points[j] on machine m and
+ * does not depend on the executor count. Each executor keeps one
+ * MultiCoreSim and reset()s it between points of the same machine,
+ * which restores a fresh machine's state without allocating and
+ * faulting in its cache arrays again.
  */
 std::vector<std::vector<RegionStats>> simulateMachines(
     const Workload &workload, const BarrierPointAnalysis &analysis,
     const std::vector<MachineJob> &jobs, const ExecutionContext &exec = {});
-
-/**
- * Simulate every barrierpoint in isolation on @p machine.
- *
- * Each barrierpoint starts on a cold machine; with
- * WarmupPolicy::MruReplay the caches are first reconstructed from
- * profiling-time MRU data.
- *
- * Because every barrierpoint starts cold, the per-point loop is
- * embarrassingly parallel; a multi-executor @p exec simulates
- * barrierpoints concurrently (snapshot capture stays serial) with
- * stats collected in analysis.points order (see simulateMachines()).
- *
- * @return stats indexed like analysis.points
- */
-std::vector<RegionStats> simulateBarrierPoints(
-    const Workload &workload, const MachineConfig &machine,
-    const BarrierPointAnalysis &analysis, WarmupPolicy policy,
-    const ExecutionContext &exec = {});
-
-/**
- * MruReplay simulation with pre-captured snapshots (as produced by
- * captureAnalysisSnapshots(), possibly reloaded from disk), skipping
- * the capture pass. @p snapshots must be indexed like analysis.points;
- * a size mismatch (a snapshot artifact from a different analysis) is
- * a user error, rejected with fatal().
- */
-std::vector<RegionStats> simulateBarrierPoints(
-    const Workload &workload, const MachineConfig &machine,
-    const BarrierPointAnalysis &analysis, const MruSnapshotSet &snapshots,
-    const ExecutionContext &exec = {});
 
 } // namespace bp
 

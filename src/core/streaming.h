@@ -187,8 +187,8 @@ class StreamingAnalyzer : public RegionProfileSink
 };
 
 /**
- * Streaming counterpart of analyzeWorkload(): profile + analyze with
- * bounded memory. Not bit-identical to batch (see the file comment);
+ * Streaming counterpart of analyzeProfiles(profileWorkload(...)):
+ * profile + analyze with bounded memory. Not bit-identical to batch (see the file comment);
  * bit-identical to itself for any thread count.
  */
 BarrierPointAnalysis analyzeWorkloadStreaming(

@@ -61,9 +61,9 @@ void
 MultiCoreSim::warmupReplay(
     const std::vector<std::vector<MruEntry>> &per_core_lines)
 {
-    const unsigned count =
-        std::min<unsigned>(config_.numCores,
-                           static_cast<unsigned>(per_core_lines.size()));
+    BP_ASSERT(per_core_lines.size() <= config_.numCores,
+              "more MRU lists than cores to replay them into");
+    const auto count = static_cast<unsigned>(per_core_lines.size());
 
     // Interleave cores position-by-position, aligned at the newest
     // (MRU) end, so the reconstructed global recency order

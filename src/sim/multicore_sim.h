@@ -44,7 +44,8 @@ class MultiCoreSim
      * to reconstruct cache and coherence state before detailed
      * simulation of a barrierpoint. No timing or statistics effects.
      *
-     * @param per_core_lines MRU entries per core, LRU -> MRU order
+     * @param per_core_lines MRU entries per core, LRU -> MRU order;
+     *                       at most one list per core
      */
     void warmupReplay(
         const std::vector<std::vector<MruEntry>> &per_core_lines);

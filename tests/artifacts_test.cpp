@@ -77,11 +77,10 @@ expectBitEqual(double a, double b)
 TEST(ArtifactsTest, ProfileArtifactRoundTrip)
 {
     const WorkloadSpec spec = smallSpec();
-    const auto workload = spec.instantiate();
 
     ProfileArtifact artifact;
     artifact.workload = spec;
-    artifact.profiles = profileWorkload(*workload);
+    artifact.profiles = Experiment(spec).profiles();
 
     TempFile file("artifact_profile.bp");
     saveArtifact(file.path(), artifact);
@@ -96,12 +95,11 @@ TEST(ArtifactsTest, ProfileArtifactRoundTrip)
 TEST(ArtifactsTest, AnalysisArtifactRoundTrip)
 {
     const WorkloadSpec spec = smallSpec();
-    const auto workload = spec.instantiate();
 
     AnalysisArtifact artifact;
     artifact.workload = spec;
     artifact.optionsHash = optionsHash(BarrierPointOptions{});
-    artifact.analysis = analyzeWorkload(*workload);
+    artifact.analysis = Experiment(spec).analysis();
 
     TempFile file("artifact_analysis.bp");
     saveArtifact(file.path(), artifact);
@@ -193,15 +191,14 @@ firstNonEmptyList(MruSnapshotSet &snapshots)
 TEST(ArtifactsTest, ForgedSnapshotSetsAreRejected)
 {
     const WorkloadSpec spec = smallSpec();
-    const auto workload = spec.instantiate();
     const MachineConfig machine = MachineConfig::withCores(spec.threads);
-    const BarrierPointAnalysis analysis = analyzeWorkload(*workload);
+    Experiment experiment(spec);
     SnapshotArtifact valid;
     valid.workload = spec;
     valid.capacityLines = mruCapacityLines(machine);
     valid.privateLines = mruPrivateLines(machine);
-    valid.regions = analysis.pointRegions();
-    valid.snapshots = captureAnalysisSnapshots(*workload, machine, analysis);
+    valid.regions = experiment.analysis().pointRegions();
+    valid.snapshots = experiment.snapshots(machine);
     ASSERT_FALSE(firstNonEmptyList(valid.snapshots).empty());
 
     TempFile file("forged_snapshots.bp");
@@ -278,10 +275,9 @@ TEST(ArtifactsTest, RunResultArtifactRoundTrip)
 TEST(ArtifactsTest, MismatchedKindIsRejected)
 {
     const WorkloadSpec spec = smallSpec();
-    const auto workload = spec.instantiate();
     AnalysisArtifact artifact;
     artifact.workload = spec;
-    artifact.analysis = analyzeWorkload(*workload);
+    artifact.analysis = Experiment(spec).analysis();
     TempFile file("artifact_kind_mismatch.bp");
     saveArtifact(file.path(), artifact);
     EXPECT_THROW(loadProfileArtifact(file.path()), SerializeError);
@@ -296,10 +292,9 @@ TEST(ArtifactsTest, MismatchedKindIsRejected)
 TEST(ArtifactsTest, ForgedAnalysisIndicesAreRejected)
 {
     const WorkloadSpec spec = smallSpec();
-    const auto workload = spec.instantiate();
     AnalysisArtifact valid;
     valid.workload = spec;
-    valid.analysis = analyzeWorkload(*workload);
+    valid.analysis = Experiment(spec).analysis();
     ASSERT_FALSE(valid.analysis.points.empty());
 
     const auto expectRejected = [&](const AnalysisArtifact &artifact) {
@@ -323,11 +318,10 @@ TEST(ArtifactsTest, ForgedAnalysisIndicesAreRejected)
 }
 
 /**
- * The PR's acceptance criterion: the artifact chain
- * profile -> save -> load -> analyze -> save -> load -> simulate ->
- * save -> load -> reconstruct produces an Estimate bit-identical to
- * the in-memory analyzeWorkload -> simulateBarrierPoints ->
- * reconstruct path on the same workload and machine.
+ * The artifact chain profile -> save -> load -> analyze -> save ->
+ * load -> simulate -> save -> load -> reconstruct, run on the
+ * pipeline.h kernels, produces an Estimate bit-identical to an
+ * in-memory Experiment on the same workload and machine.
  */
 TEST(ArtifactsTest, PersistedChainIsBitIdenticalToInMemoryPipeline)
 {
@@ -335,13 +329,8 @@ TEST(ArtifactsTest, PersistedChainIsBitIdenticalToInMemoryPipeline)
     const MachineConfig machine = MachineConfig::withCores(spec.threads);
 
     // In-memory path.
-    const auto direct_workload = spec.instantiate();
-    const BarrierPointAnalysis direct_analysis =
-        analyzeWorkload(*direct_workload);
-    const auto direct_stats = simulateBarrierPoints(
-        *direct_workload, machine, direct_analysis,
-        WarmupPolicy::MruReplay);
-    const Estimate direct = reconstruct(direct_analysis, direct_stats);
+    Experiment experiment(spec);
+    const Estimate &direct = experiment.estimate(machine);
 
     // Artifact path: every stage round-trips through disk and
     // re-instantiates its workload from the embedded spec.
@@ -351,7 +340,8 @@ TEST(ArtifactsTest, PersistedChainIsBitIdenticalToInMemoryPipeline)
     {
         ProfileArtifact artifact;
         artifact.workload = spec;
-        artifact.profiles = profileWorkload(*spec.instantiate());
+        artifact.profiles =
+            profileWorkload(*spec.instantiate(), ProfilingConfig{});
         saveArtifact(profile_file.path(), artifact);
     }
     {
@@ -370,9 +360,10 @@ TEST(ArtifactsTest, PersistedChainIsBitIdenticalToInMemoryPipeline)
         artifact.workload = analysis.workload;
         artifact.machine = machine.name;
         artifact.flavor = "barrierpoints-mru";
-        artifact.result.regions = simulateBarrierPoints(
-            *workload, machine, analysis.analysis,
-            WarmupPolicy::MruReplay);
+        const MruSnapshotSet snapshots =
+            captureAnalysisSnapshots(*workload, machine, analysis.analysis);
+        artifact.result.regions = std::move(simulateMachines(
+            *workload, analysis.analysis, {{&machine, &snapshots}})[0]);
         saveArtifact(result_file.path(), artifact);
     }
     const AnalysisArtifact analysis =
@@ -388,16 +379,19 @@ TEST(ArtifactsTest, PersistedChainIsBitIdenticalToInMemoryPipeline)
     expectBitEqual(chained.llcMisses, direct.llcMisses);
 }
 
-/** Pre-captured snapshots must reproduce the internal capture path. */
+/**
+ * Snapshots captured by the kernel, persisted and seeded into a fresh
+ * session must reproduce the session's own capture path.
+ */
 TEST(ArtifactsTest, PersistedSnapshotsReproduceInternalCapture)
 {
     const WorkloadSpec spec = smallSpec();
     const auto workload = spec.instantiate();
     const MachineConfig machine = MachineConfig::withCores(spec.threads);
-    const BarrierPointAnalysis analysis = analyzeWorkload(*workload);
-
-    const auto internal = simulateBarrierPoints(
-        *workload, machine, analysis, WarmupPolicy::MruReplay);
+    Experiment experiment(spec);
+    const BarrierPointAnalysis &analysis = experiment.analysis();
+    const auto &internal =
+        experiment.simulate(machine, WarmupPolicy::MruReplay).stats;
 
     SnapshotArtifact artifact;
     artifact.workload = spec;
@@ -411,9 +405,9 @@ TEST(ArtifactsTest, PersistedSnapshotsReproduceInternalCapture)
     saveArtifact(file.path(), artifact);
     const SnapshotArtifact loaded = loadSnapshotArtifact(file.path());
 
-    const auto replayed = simulateBarrierPoints(*workload, machine,
-                                                analysis,
-                                                loaded.snapshots);
+    Experiment replay(spec);
+    replay.seedSnapshots(machine, loaded.snapshots);
+    const auto &replayed = replay.simulate(machine).stats;
     ASSERT_EQ(replayed.size(), internal.size());
     for (size_t j = 0; j < replayed.size(); ++j) {
         expectBitEqual(replayed[j].cycles, internal[j].cycles);

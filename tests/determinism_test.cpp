@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/experiment.h"
 #include "src/workloads/registry.h"
 #include "src/workloads/test_workload.h"
 
@@ -73,16 +73,20 @@ expectIdenticalStats(const std::vector<RegionStats> &a,
     }
 }
 
+/** The session's analysis of @p wl on @p threads executors. */
+BarrierPointAnalysis
+analyzeOn(const Workload &wl, unsigned threads)
+{
+    return Experiment(wl, {}, ExecutionContext(threads)).analysis();
+}
+
 TEST(DeterminismTest, AnalyzeWorkloadIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
-    const BarrierPointOptions options;
-    const auto reference =
-        analyzeWorkload(*wl, options, ExecutionContext(1));
+    const auto reference = analyzeOn(*wl, 1);
 
     for (const unsigned threads : {2u, 8u}) {
-        const auto candidate =
-            analyzeWorkload(*wl, options, ExecutionContext(threads));
+        const auto candidate = analyzeOn(*wl, threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectIdenticalAnalyses(reference, candidate);
     }
@@ -92,18 +96,52 @@ TEST(DeterminismTest, SimulateBarrierPointsIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
     const auto machine = MachineConfig::withCores(4);
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = analyzeOn(*wl, 1);
+    const auto simulateOn = [&](WarmupPolicy policy, unsigned threads) {
+        Experiment experiment(*wl, {}, ExecutionContext(threads));
+        experiment.seedAnalysis(analysis);
+        return experiment.simulate(machine, policy).stats;
+    };
 
     for (const WarmupPolicy policy :
          {WarmupPolicy::Cold, WarmupPolicy::MruReplay}) {
-        const auto reference =
-            simulateBarrierPoints(*wl, machine, analysis, policy, 1);
+        const auto reference = simulateOn(policy, 1);
         for (const unsigned threads : {2u, 8u}) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
-            expectIdenticalStats(
-                reference,
-                simulateBarrierPoints(*wl, machine, analysis, policy,
-                                      threads));
+            expectIdenticalStats(reference, simulateOn(policy, threads));
+        }
+    }
+}
+
+TEST(DeterminismTest, SimulateMatchesSweepAcrossJobCounts)
+{
+    // simulate() is the one-machine case of sweep(): per machine, both
+    // give the serial stats at any executor count. The 16-core machine
+    // spans two sockets, so its snapshots differ from the 4-core one.
+    const auto wl = wobblyWorkload();
+    const std::vector<MachineConfig> machines = {
+        MachineConfig::withCores(4), MachineConfig::withCores(16)};
+
+    for (const WarmupPolicy policy :
+         {WarmupPolicy::Cold, WarmupPolicy::MruReplay}) {
+        std::vector<std::vector<RegionStats>> reference;
+        for (const MachineConfig &machine : machines) {
+            Experiment serial(*wl, {}, ExecutionContext(1));
+            reference.push_back(serial.simulate(machine, policy).stats);
+        }
+        for (const unsigned jobs : {1u, 8u}) {
+            SCOPED_TRACE(std::string(warmupPolicyName(policy)) +
+                         " jobs=" + std::to_string(jobs));
+            Experiment swept(*wl, {}, ExecutionContext(jobs));
+            const auto results = swept.sweep(machines, policy);
+            ASSERT_EQ(results.size(), machines.size());
+            for (size_t m = 0; m < machines.size(); ++m) {
+                expectIdenticalStats(reference[m], results[m].stats);
+                Experiment single(*wl, {}, ExecutionContext(jobs));
+                expectIdenticalStats(
+                    reference[m],
+                    single.simulate(machines[m], policy).stats);
+            }
         }
     }
 }
@@ -111,10 +149,11 @@ TEST(DeterminismTest, SimulateBarrierPointsIdenticalAcrossThreadCounts)
 TEST(DeterminismTest, ProfilesIdenticalAcrossThreadCounts)
 {
     const auto wl = wobblyWorkload();
-    const auto serial = profileWorkload(*wl, 1);
+    const auto serial = profileWorkload(*wl, ProfilingConfig{}, 1);
     for (const unsigned threads : {2u, 8u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        const auto parallel = profileWorkload(*wl, threads);
+        const auto parallel =
+            profileWorkload(*wl, ProfilingConfig{}, threads);
         ASSERT_EQ(serial.size(), parallel.size());
         for (size_t r = 0; r < serial.size(); ++r) {
             EXPECT_EQ(serial[r].regionIndex, parallel[r].regionIndex);
@@ -143,10 +182,7 @@ TEST(DeterminismTest, RealWorkloadAnalysisIdenticalSerialVsParallel)
     params.scale = 0.1;
     const auto wl = makeWorkload("npb-cg", params);
 
-    const BarrierPointOptions options;
-    expectIdenticalAnalyses(
-        analyzeWorkload(*wl, options, ExecutionContext(1)),
-        analyzeWorkload(*wl, options, ExecutionContext(8)));
+    expectIdenticalAnalyses(analyzeOn(*wl, 1), analyzeOn(*wl, 8));
 }
 
 } // namespace

@@ -96,22 +96,18 @@ TEST_P(EstimatePinTest, FullPipelineIsBitIdenticalToPreRefactor)
     const auto wl = makeWorkload(g.workload, params);
     const auto machine = MachineConfig::withCores(g.cores);
 
-    const auto analysis = analyzeWorkload(*wl);
+    Experiment experiment(*wl);
 
-    const auto mru = reconstruct(
-        analysis, simulateBarrierPoints(*wl, machine, analysis,
-                                        WarmupPolicy::MruReplay));
+    const auto &mru = experiment.estimate(machine, WarmupPolicy::MruReplay);
     EXPECT_EQ(bits(mru.totalCycles), g.mruTotalCycles);
     EXPECT_EQ(bits(mru.totalInstructions), g.mruTotalInstructions);
     EXPECT_EQ(bits(mru.dramAccesses), g.mruDramAccesses);
     EXPECT_EQ(bits(mru.llcMisses), g.mruLlcMisses);
 
-    const auto cold = reconstruct(
-        analysis, simulateBarrierPoints(*wl, machine, analysis,
-                                        WarmupPolicy::Cold));
+    const auto &cold = experiment.estimate(machine, WarmupPolicy::Cold);
     EXPECT_EQ(bits(cold.totalCycles), g.coldTotalCycles);
 
-    const auto reference = runReference(*wl, machine);
+    const auto &reference = experiment.reference(machine);
     EXPECT_EQ(bits(reference.totalCycles()), g.referenceTotalCycles);
 }
 

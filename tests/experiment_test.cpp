@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the bp::Experiment session API: bit-identity against the
- * free-function pipeline, stage memoization and snapshot sharing,
+ * pipeline.h kernels, stage memoization and snapshot sharing,
  * batched sweeps, artifact persistence across sessions, and stale-
  * artifact invalidation (wrong options or workload spec are rejected
  * and recomputed, never silently reused).
@@ -109,22 +109,25 @@ fileBytes(const std::string &path)
 }
 
 /**
- * The acceptance guarantee: an Experiment-produced Estimate is
- * bit-identical to the existing free-function pipeline for the same
- * workload/machine/options.
+ * An Experiment-produced Estimate is bit-identical to chaining the
+ * pipeline.h kernels by hand for the same workload/machine/options.
  */
 TEST(ExperimentTest, BitIdenticalToFreeFunctionPipeline)
 {
     const WorkloadSpec spec = smallSpec();
     const MachineConfig machine = MachineConfig::withCores(spec.threads);
 
-    // Free-function pipeline, exactly as before the facade existed.
+    // The kernels, chained by hand.
     const auto workload = spec.instantiate();
-    const BarrierPointAnalysis analysis = analyzeWorkload(*workload);
+    const BarrierPointAnalysis analysis =
+        analyzeProfiles(profileWorkload(*workload, ProfilingConfig{}));
     const auto snapshots =
         captureAnalysisSnapshots(*workload, machine, analysis);
-    const auto stats =
-        simulateBarrierPoints(*workload, machine, analysis, snapshots);
+    const auto simulate = [&](const MruSnapshotSet *warmup) {
+        return std::move(
+            simulateMachines(*workload, analysis, {{&machine, warmup}})[0]);
+    };
+    const auto stats = simulate(&snapshots);
     const Estimate estimate = reconstruct(analysis, stats);
     const RunResult reference = runReference(*workload, machine);
 
@@ -135,8 +138,7 @@ TEST(ExperimentTest, BitIdenticalToFreeFunctionPipeline)
     expectEstimateBitEqual(run.estimate, estimate);
     expectEstimateBitEqual(experiment.estimate(machine), estimate);
 
-    const auto cold_stats = simulateBarrierPoints(
-        *workload, machine, analysis, WarmupPolicy::Cold);
+    const auto cold_stats = simulate(nullptr);
     expectStatsBitEqual(
         experiment.simulate(machine, WarmupPolicy::Cold).stats,
         cold_stats);
@@ -249,10 +251,11 @@ TEST(ExperimentTest, SeededAnalysisReusedAtAnotherWidth)
     const SimulationResult &run = wide.simulate(machine);
 
     const auto workload = wide_spec.instantiate();
-    const auto want = simulateBarrierPoints(
-        *workload, machine, analysis,
-        captureAnalysisSnapshots(*workload, machine, analysis));
-    expectStatsBitEqual(run.stats, want);
+    const auto snapshots =
+        captureAnalysisSnapshots(*workload, machine, analysis);
+    const auto want =
+        simulateMachines(*workload, analysis, {{&machine, &snapshots}});
+    expectStatsBitEqual(run.stats, want[0]);
 }
 
 TEST(ExperimentTest, ColdAndWarmSessionsShareBitIdenticalArtifacts)
@@ -505,6 +508,47 @@ TEST(ExperimentDeathTest, SeedingMismatchedStagesIsFatal)
                                      MruSnapshotSet(999));
         },
         ::testing::ExitedWithCode(1), "seeded snapshot set");
+}
+
+/**
+ * Seeding is the one way an externally built snapshot set reaches the
+ * simulator, so it runs the meaning check a snapshot artifact passes
+ * on load. Each forgery keeps the snapshot count right.
+ */
+TEST(ExperimentDeathTest, ForgedSeededSnapshotsAreFatal)
+{
+    const WorkloadSpec spec = smallSpec();
+    const MachineConfig machine = MachineConfig::withCores(spec.threads);
+    const MruSnapshotSet valid = Experiment(spec).snapshots(machine);
+    ASSERT_EQ(valid.front().size(), spec.threads);
+
+    using Forgery = void (*)(MruSnapshotSet &);
+    const std::pair<const char *, Forgery> forgeries[] = {
+        // Three lists for two threads: the replay would have no core
+        // to put the third into.
+        {"per-core list count differs from the thread count",
+         [](MruSnapshotSet &set) { set.front().emplace_back(); }},
+        // Line 2^40 lies far outside the workload's footprint.
+        {"line repeated within a per-core list",
+         [](MruSnapshotSet &set) {
+             set.front()[0].push_back(MruEntry{1ull << 40, false, false});
+             set.front()[0].push_back(MruEntry{1ull << 40, false, false});
+         }},
+        {"entry both written and LLC-dirty",
+         [](MruSnapshotSet &set) {
+             set.front()[0].push_back(MruEntry{1ull << 40, true, true});
+         }},
+    };
+    for (const auto &[error, forge] : forgeries) {
+        MruSnapshotSet forged = valid;
+        forge(forged);
+        EXPECT_EXIT(
+            {
+                Experiment experiment(spec);
+                experiment.seedSnapshots(machine, forged);
+            },
+            ::testing::ExitedWithCode(1), error);
+    }
 }
 
 TEST(ExperimentDeathTest, UndersizedMachineIsFatal)

@@ -30,8 +30,9 @@ TEST_P(BenchmarkIntegrationTest, PerfectWarmupErrorIsSmall)
 {
     const auto wl = makeWorkload(GetParam(), smallParams(4));
     const auto machine = MachineConfig::withCores(4);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
+    Experiment experiment(*wl);
+    const auto &analysis = experiment.analysis();
+    const auto &reference = experiment.reference(machine);
     const auto estimate = reconstruct(
         analysis, perfectWarmupStats(analysis, reference));
     EXPECT_LT(percentAbsError(estimate.totalCycles,
@@ -44,11 +45,10 @@ TEST_P(BenchmarkIntegrationTest, MruWarmupErrorIsSmall)
 {
     const auto wl = makeWorkload(GetParam(), smallParams(4));
     const auto machine = MachineConfig::withCores(4);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
-    const auto estimate = reconstruct(
-        analysis, simulateBarrierPoints(*wl, machine, analysis,
-                                        WarmupPolicy::MruReplay));
+    Experiment experiment(*wl);
+    const auto &reference = experiment.reference(machine);
+    const auto &estimate =
+        experiment.estimate(machine, WarmupPolicy::MruReplay);
     EXPECT_LT(percentAbsError(estimate.totalCycles,
                               reference.totalCycles()),
               10.0)
@@ -58,7 +58,7 @@ TEST_P(BenchmarkIntegrationTest, MruWarmupErrorIsSmall)
 TEST_P(BenchmarkIntegrationTest, FarFewerPointsThanRegions)
 {
     const auto wl = makeWorkload(GetParam(), smallParams(4));
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = Experiment(*wl).analysis();
     EXPECT_LE(analysis.points.size(), 20u);
     if (wl->regionCount() > 40)
         EXPECT_LT(analysis.points.size(), wl->regionCount() / 2);
@@ -88,7 +88,7 @@ TEST(CrossValidationTest, BarrierpointsTransferAcrossCoreCounts)
     const auto wl8 = makeWorkload(name, smallParams(8));
     const auto machine8 = MachineConfig::withCores(8);
 
-    const auto analysis4 = analyzeWorkload(*wl4);
+    const auto analysis4 = Experiment(*wl4).analysis();
     const auto reference8 = runReference(*wl8, machine8);
 
     // Apply 4-thread barrierpoints and multipliers to the 8-core run.
@@ -113,7 +113,7 @@ TEST(ScalingTest, MoreCoresRunFaster)
 TEST(SpeedupTest, InstructionReductionIsLarge)
 {
     const auto wl = makeWorkload("npb-mg", smallParams(4));
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = Experiment(*wl).analysis();
     // mg repeats 20 V-cycles: the sampled instruction volume must be
     // a small fraction of the total.
     EXPECT_GT(analysis.serialSpeedup(), 3.0);
@@ -126,8 +126,9 @@ TEST(SignatureSweepTest, CombinedBeatsOrMatchesBbvOnMg)
     // only the LDV separates them (the paper's Figure 5 motivation).
     const auto wl = makeWorkload("npb-mg", smallParams(4));
     const auto machine = MachineConfig::withCores(4);
-    const auto profiles = profileWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
+    Experiment experiment(*wl);
+    const auto &profiles = experiment.profiles();
+    const auto &reference = experiment.reference(machine);
 
     const auto error_for = [&](SignatureKind kind, unsigned max_k) {
         BarrierPointOptions options;
@@ -149,8 +150,9 @@ TEST(MaxKSweepTest, AccuracyImprovesWithMoreClusters)
 {
     const auto wl = makeWorkload("npb-ft", smallParams(4));
     const auto machine = MachineConfig::withCores(4);
-    const auto profiles = profileWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
+    Experiment experiment(*wl);
+    const auto &profiles = experiment.profiles();
+    const auto &reference = experiment.reference(machine);
 
     const auto error_for = [&](unsigned max_k) {
         BarrierPointOptions options;
@@ -171,8 +173,9 @@ TEST(AblationTest, DisablingMultiplierScalingHurts)
     // The paper reports 0.6 % -> 19.4 % when scaling is disabled.
     const auto wl = makeWorkload("parsec-bodytrack", smallParams(4));
     const auto machine = MachineConfig::withCores(4);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
+    Experiment experiment(*wl);
+    const auto &analysis = experiment.analysis();
+    const auto &reference = experiment.reference(machine);
     const auto stats = perfectWarmupStats(analysis, reference);
     const double scaled = percentAbsError(
         reconstruct(analysis, stats, true).totalCycles,

@@ -123,10 +123,11 @@ TEST_P(MemStatsPinTest, EveryCounterMatchesGolden)
         machine.name += "-small-l3";
     }
 
-    const auto analysis = analyzeWorkload(*wl);
-    const MemStats mru = sumCounters(simulateBarrierPoints(
-        *wl, machine, analysis, WarmupPolicy::MruReplay));
-    const MemStats reference = sumCounters(runReference(*wl, machine).regions);
+    Experiment experiment(*wl);
+    const MemStats mru = sumCounters(
+        experiment.simulate(machine, WarmupPolicy::MruReplay).stats);
+    const MemStats reference =
+        sumCounters(experiment.reference(machine).regions);
 
     // The pin is only meaningful where the coherence paths fire. A run
     // whose threads fit one socket pins the single-socket path instead:

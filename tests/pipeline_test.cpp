@@ -1,11 +1,12 @@
 /**
  * @file
- * End-to-end pipeline tests on the miniature test workload.
+ * End-to-end pipeline tests on the miniature test workload: the
+ * pipeline.h kernels, and the Experiment session that chains them.
  */
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/experiment.h"
 #include "src/support/serialize.h"
 #include "src/support/stats.h"
 #include "src/workloads/test_workload.h"
@@ -31,7 +32,7 @@ smallWorkload(unsigned threads = 2, unsigned regions = 13,
 TEST(PipelineTest, ProfileProducesOneProfilePerRegion)
 {
     const auto wl = smallWorkload();
-    const auto profiles = profileWorkload(*wl);
+    const auto profiles = profileWorkload(*wl, ProfilingConfig{});
     ASSERT_EQ(profiles.size(), wl->regionCount());
     for (unsigned r = 0; r < profiles.size(); ++r) {
         EXPECT_EQ(profiles[r].regionIndex, r);
@@ -43,7 +44,7 @@ TEST(PipelineTest, ProfileProducesOneProfilePerRegion)
 TEST(PipelineTest, AnalysisFindsThePhaseStructure)
 {
     const auto wl = smallWorkload(2, 16, 3);
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = Experiment(*wl).analysis();
     // 3 phases + 1 init region: the clustering must find a compact
     // representation, far fewer points than regions.
     EXPECT_GE(analysis.points.size(), 3u);
@@ -57,7 +58,7 @@ TEST(PipelineTest, AnalysisFindsThePhaseStructure)
 TEST(PipelineTest, MultipliersReconstructTotalInstructions)
 {
     const auto wl = smallWorkload(2, 19, 3, 0.25);
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = Experiment(*wl).analysis();
     double reconstructed = 0.0;
     for (const auto &pt : analysis.points)
         reconstructed += pt.multiplier *
@@ -71,8 +72,9 @@ TEST(PipelineTest, PerfectWarmupReconstructionIsAccurate)
 {
     const auto wl = smallWorkload(2, 25, 3);
     const auto machine = MachineConfig::withCores(2);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
+    Experiment experiment(*wl);
+    const auto &analysis = experiment.analysis();
+    const auto &reference = experiment.reference(machine);
     const auto stats = perfectWarmupStats(analysis, reference);
     const auto estimate = reconstruct(analysis, stats);
     EXPECT_LT(percentAbsError(estimate.totalCycles,
@@ -84,11 +86,10 @@ TEST(PipelineTest, MruWarmupCloseToReference)
 {
     const auto wl = smallWorkload(2, 25, 3);
     const auto machine = MachineConfig::withCores(2);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
-    const auto stats = simulateBarrierPoints(*wl, machine, analysis,
-                                             WarmupPolicy::MruReplay);
-    const auto estimate = reconstruct(analysis, stats);
+    Experiment experiment(*wl);
+    const auto &reference = experiment.reference(machine);
+    const auto &estimate =
+        experiment.estimate(machine, WarmupPolicy::MruReplay);
     EXPECT_LT(percentAbsError(estimate.totalCycles,
                               reference.totalCycles()),
               10.0);
@@ -98,14 +99,10 @@ TEST(PipelineTest, ColdWarmupIsWorseThanMru)
 {
     const auto wl = smallWorkload(2, 25, 3);
     const auto machine = MachineConfig::withCores(2);
-    const auto analysis = analyzeWorkload(*wl);
-    const auto reference = runReference(*wl, machine);
-    const auto mru = reconstruct(
-        analysis, simulateBarrierPoints(*wl, machine, analysis,
-                                        WarmupPolicy::MruReplay));
-    const auto cold = reconstruct(
-        analysis, simulateBarrierPoints(*wl, machine, analysis,
-                                        WarmupPolicy::Cold));
+    Experiment experiment(*wl);
+    const auto &reference = experiment.reference(machine);
+    const auto &mru = experiment.estimate(machine, WarmupPolicy::MruReplay);
+    const auto &cold = experiment.estimate(machine, WarmupPolicy::Cold);
     const double mru_err =
         percentAbsError(mru.totalCycles, reference.totalCycles());
     const double cold_err =
@@ -227,18 +224,18 @@ TEST(PipelineTest, FullPipelineBeyond32Threads)
     const auto machine = MachineConfig::withCores(threads);
     ASSERT_EQ(machine.mem.numSockets(), 6u);
 
-    const auto profiles = profileWorkload(*wl);
+    Experiment experiment(*wl);
+    const auto &profiles = experiment.profiles();
     ASSERT_EQ(profiles.size(), wl->regionCount());
     for (const auto &profile : profiles)
         EXPECT_EQ(profile.threads.size(), threads);
 
-    const auto analysis = analyzeProfiles(profiles);
-    const auto snapshots =
-        captureAnalysisSnapshots(*wl, machine, analysis);
-    const auto stats =
-        simulateBarrierPoints(*wl, machine, analysis, snapshots);
-    const auto estimate = reconstruct(analysis, stats);
-    const auto reference = runReference(*wl, machine);
+    const auto &snapshots = experiment.snapshots(machine);
+    ASSERT_EQ(snapshots.size(), experiment.analysis().points.size());
+    for (const auto &per_core : snapshots)
+        EXPECT_EQ(per_core.size(), threads);
+    const auto &estimate = experiment.estimate(machine);
+    const auto &reference = experiment.reference(machine);
     EXPECT_LT(percentAbsError(estimate.totalCycles,
                               reference.totalCycles()),
               10.0);
@@ -247,7 +244,8 @@ TEST(PipelineTest, FullPipelineBeyond32Threads)
 TEST(PipelineTest, AnalyzeProfilesAllowsSignatureSweeps)
 {
     const auto wl = smallWorkload(2, 16, 3);
-    const auto profiles = profileWorkload(*wl);
+    Experiment experiment(*wl);
+    const auto &profiles = experiment.profiles();
     for (const SignatureKind kind :
          {SignatureKind::Bbv, SignatureKind::Ldv,
           SignatureKind::Combined}) {
@@ -262,9 +260,9 @@ TEST(PipelineTest, AnalyzeProfilesAllowsSignatureSweeps)
 TEST(PipelineTest, MaxKOneSelectsSinglePoint)
 {
     const auto wl = smallWorkload(2, 16, 3);
-    BarrierPointOptions options;
-    options.clustering.maxK = 1;
-    const auto analysis = analyzeWorkload(*wl, options);
+    Experiment::Config config;
+    config.options.clustering.maxK = 1;
+    const auto analysis = Experiment(*wl, config).analysis();
     EXPECT_EQ(analysis.points.size(), 1u);
     EXPECT_NEAR(analysis.points[0].weightFraction, 1.0, 1e-12);
 }
@@ -272,8 +270,8 @@ TEST(PipelineTest, MaxKOneSelectsSinglePoint)
 TEST(PipelineTest, DeterministicEndToEnd)
 {
     const auto wl = smallWorkload(2, 16, 3);
-    const auto a = analyzeWorkload(*wl);
-    const auto b = analyzeWorkload(*wl);
+    const auto a = Experiment(*wl).analysis();
+    const auto b = Experiment(*wl).analysis();
     ASSERT_EQ(a.points.size(), b.points.size());
     for (size_t i = 0; i < a.points.size(); ++i) {
         EXPECT_EQ(a.points[i].region, b.points[i].region);
@@ -284,26 +282,45 @@ TEST(PipelineTest, DeterministicEndToEnd)
 TEST(PipelineTest, SpeedupsAreConsistent)
 {
     const auto wl = smallWorkload(2, 31, 3);
-    const auto analysis = analyzeWorkload(*wl);
+    const auto analysis = Experiment(*wl).analysis();
     EXPECT_GE(analysis.serialSpeedup(), 1.0);
     EXPECT_GE(analysis.parallelSpeedup(), analysis.serialSpeedup());
     EXPECT_GE(analysis.resourceReduction(), 1.0);
 }
 
+/**
+ * One barrierpoint on a machine built for it alone: the per-point
+ * steps of simulateMachines() without the reset() reuse.
+ */
+RegionStats
+freshMachinePoint(const Workload &workload, const MachineConfig &machine,
+                  const BarrierPointAnalysis &analysis, size_t point,
+                  const MruSnapshotSet *snapshots)
+{
+    MultiCoreSim sim(machine);
+    const RegionTrace trace =
+        workload.generateRegion(analysis.points[point].region);
+    if (snapshots) {
+        sim.warmupReplay((*snapshots)[point]);
+        sim.trainPredictors(trace);
+    }
+    return sim.simulateRegion(trace);
+}
+
 TEST(PipelineTest, ReusedMachineMatchesFreshMachinePerPoint)
 {
-    // simulateBarrierPoints runs every point on one reset() machine
-    // per executor; each point must see exactly a new machine. Sixteen
+    // simulateMachines runs every point on one reset() machine per
+    // executor; each point must see exactly a new machine. Sixteen
     // threads on 8-core sockets exercise the home map as well.
     const auto wl = smallWorkload(16, 25, 3);
     const auto machine = MachineConfig::withCores(16);
-    const auto analysis = analyzeWorkload(*wl);
+    Experiment experiment(*wl);
+    const auto &analysis = experiment.analysis();
     ASSERT_GE(analysis.points.size(), 3u);
-    const auto snapshots = captureAnalysisSnapshots(*wl, machine, analysis);
-    const auto reused =
-        simulateBarrierPoints(*wl, machine, analysis, snapshots);
-    const auto cold = simulateBarrierPoints(*wl, machine, analysis,
-                                            WarmupPolicy::Cold);
+    const auto &snapshots = experiment.snapshots(machine);
+    const auto &reused =
+        experiment.simulate(machine, WarmupPolicy::MruReplay).stats;
+    const auto &cold = experiment.simulate(machine, WarmupPolicy::Cold).stats;
     ASSERT_EQ(reused.size(), analysis.points.size());
     const auto bytes = [](const RegionStats &stats) {
         Serializer s;
@@ -312,11 +329,12 @@ TEST(PipelineTest, ReusedMachineMatchesFreshMachinePerPoint)
     };
     for (size_t j = 0; j < analysis.points.size(); ++j) {
         EXPECT_EQ(bytes(reused[j]),
-                  bytes(simulateBarrierPoint(*wl, machine, analysis, j,
-                                             &snapshots)))
+                  bytes(freshMachinePoint(*wl, machine, analysis, j,
+                                          &snapshots)))
             << "point " << j;
         EXPECT_EQ(bytes(cold[j]),
-                  bytes(simulateBarrierPoint(*wl, machine, analysis, j)))
+                  bytes(freshMachinePoint(*wl, machine, analysis, j,
+                                          nullptr)))
             << "point " << j;
     }
 }
@@ -324,15 +342,15 @@ TEST(PipelineTest, ReusedMachineMatchesFreshMachinePerPoint)
 TEST(PipelineDeathTest, MismatchedSnapshotCountIsCleanlyFatal)
 {
     // A snapshot set sized for a different analysis (e.g. a stale
-    // artifact) must be rejected as a user error — fatal(), exit 1 —
-    // not run into out-of-range indexing.
+    // capture) must be rejected at the seed site as a user error —
+    // fatal(), exit 1 — not run into out-of-range indexing.
     const auto wl = smallWorkload(2, 16, 3);
     const auto machine = MachineConfig::withCores(2);
-    const auto analysis = analyzeWorkload(*wl);
-    MruSnapshotSet wrong(analysis.points.size() + 2);
-    EXPECT_EXIT(simulateBarrierPoints(*wl, machine, analysis, wrong),
+    Experiment experiment(*wl);
+    MruSnapshotSet wrong(experiment.analysis().points.size() + 2);
+    EXPECT_EXIT(experiment.seedSnapshots(machine, wrong),
                 ::testing::ExitedWithCode(1),
-                "captured for a different analysis");
+                "snapshot count differs from the barrierpoint count");
 }
 
 } // namespace

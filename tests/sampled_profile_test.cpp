@@ -309,12 +309,11 @@ TEST_P(SampledAccuracyTest, SampledAnalysisTracksExactEstimate)
     const auto wl = makeWorkload(GetParam(), smallParams(4));
     const auto machine = MachineConfig::withCores(4);
 
-    BarrierPointOptions exactOptions;
-    const auto exact = analyzeWorkload(*wl, exactOptions);
+    const auto exact = Experiment(*wl).analysis();
 
-    BarrierPointOptions sampledOptions;
-    sampledOptions.profiling = ProfilingConfig::sampled(0.01);
-    const auto sampled = analyzeWorkload(*wl, sampledOptions);
+    Experiment::Config sampledConfig;
+    sampledConfig.options.profiling = ProfilingConfig::sampled(0.01);
+    const auto sampled = Experiment(*wl, sampledConfig).analysis();
 
     const auto selection = [](const BarrierPointAnalysis &a) {
         std::set<uint32_t> regions;
@@ -477,7 +476,7 @@ TEST(SampledCacheTest, SampledProfilingChangesTheProfileData)
     params.threads = 2;
     params.scale = 0.05;
     const auto wl = makeWorkload("npb-is", params);
-    const auto exact = profileWorkload(*wl);
+    const auto exact = profileWorkload(*wl, ProfilingConfig{});
     const auto sampled =
         profileWorkload(*wl, ProfilingConfig::sampled(0.01));
     ASSERT_EQ(exact.size(), sampled.size());

@@ -329,6 +329,17 @@ TEST(MultiCoreSimTest, WarmupReplayPreventsColdMisses)
     EXPECT_EQ(stats.mem.dramReads, 0u);
 }
 
+TEST(MultiCoreSimDeathTest, WarmupReplayRejectsMoreListsThanCores)
+{
+    // A list with no core to replay into is a caller bug, not data to
+    // drop quietly.
+    const MachineConfig cfg = MachineConfig::withCores(2);
+    MultiCoreSim sim(cfg);
+    std::vector<std::vector<MruEntry>> lines(3);
+    lines[2].push_back(MruEntry{1, false, false});
+    EXPECT_DEATH(sim.warmupReplay(lines), "more MRU lists than cores");
+}
+
 TEST(MultiCoreSimTest, WarmupReplayWrittenAvoidsUpgrades)
 {
     const MachineConfig cfg = MachineConfig::withCores(1);

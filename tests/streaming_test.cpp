@@ -368,7 +368,7 @@ TEST_P(StreamingAccuracyTest, EstimateWithinToleranceOfBatch)
     StreamingConfig config;
     config.enabled = true;
 
-    const BarrierPointAnalysis batch = analyzeWorkload(*wl, options);
+    const BarrierPointAnalysis batch = Experiment(*wl).analysis();
     const BarrierPointAnalysis streaming =
         analyzeWorkloadStreaming(*wl, options, config);
 

@@ -582,11 +582,11 @@ TEST(TraceIoReplayTest, ReplayProfilesBitIdenticalAtAnyWorkerCount)
     ASSERT_EQ(replay->regionCount(), direct->regionCount());
     ASSERT_EQ(replay->threadCount(), direct->threadCount());
 
-    const std::vector<uint8_t> expected =
-        serializedProfiles(profileWorkload(*direct, ExecutionContext(1)));
+    const std::vector<uint8_t> expected = serializedProfiles(
+        profileWorkload(*direct, ProfilingConfig{}, ExecutionContext(1)));
     for (const unsigned jobs : {1u, 2u, 8u}) {
-        const std::vector<uint8_t> got = serializedProfiles(
-            profileWorkload(*replay, ExecutionContext(jobs)));
+        const std::vector<uint8_t> got = serializedProfiles(profileWorkload(
+            *replay, ProfilingConfig{}, ExecutionContext(jobs)));
         EXPECT_EQ(got, expected) << "jobs=" << jobs;
     }
 }
@@ -614,11 +614,10 @@ TEST(TraceIoReplayTest, ReplayAnalysisAndEstimateBitIdentical)
     recordWorkload(*direct, file.path());
     const auto replay = makeTraceWorkload(file.path());
 
-    BarrierPointOptions options;
-    const BarrierPointAnalysis direct_analysis =
-        analyzeWorkload(*direct, options, ExecutionContext(1));
-    const BarrierPointAnalysis replay_analysis =
-        analyzeWorkload(*replay, options, ExecutionContext(2));
+    Experiment direct_session(*direct, {}, ExecutionContext(1));
+    Experiment replay_session(*replay, {}, ExecutionContext(2));
+    const BarrierPointAnalysis &direct_analysis = direct_session.analysis();
+    const BarrierPointAnalysis &replay_analysis = replay_session.analysis();
 
     Serializer sa, sb;
     direct_analysis.serialize(sa);
@@ -626,13 +625,8 @@ TEST(TraceIoReplayTest, ReplayAnalysisAndEstimateBitIdentical)
     EXPECT_EQ(sa.buffer(), sb.buffer());
 
     const MachineConfig machine = MachineConfig::withCores(4);
-    const std::vector<RegionStats> direct_stats = simulateBarrierPoints(
-        *direct, machine, direct_analysis, WarmupPolicy::MruReplay);
-    const std::vector<RegionStats> replay_stats = simulateBarrierPoints(
-        *replay, machine, replay_analysis, WarmupPolicy::MruReplay,
-        ExecutionContext(2));
-    const Estimate a = reconstruct(direct_analysis, direct_stats);
-    const Estimate b = reconstruct(replay_analysis, replay_stats);
+    const Estimate &a = direct_session.estimate(machine);
+    const Estimate &b = replay_session.estimate(machine);
     EXPECT_EQ(std::bit_cast<uint64_t>(a.totalCycles),
               std::bit_cast<uint64_t>(b.totalCycles));
     EXPECT_EQ(std::bit_cast<uint64_t>(a.totalInstructions),
