@@ -234,6 +234,8 @@ saveArtifact(const std::string &path, const SnapshotArtifact &artifact)
     for (const uint32_t region : artifact.regions)
         s.u32(region);
     serializeSnapshots(s, artifact.snapshots);
+    s.u64(artifact.highWaterLines);
+    s.boolean(artifact.evicted);
     writeArtifactFile(path, static_cast<uint32_t>(ArtifactKind::Snapshots),
                       s);
 }
@@ -251,10 +253,13 @@ loadSnapshotArtifact(const std::string &path)
     for (uint32_t &region : artifact.regions)
         region = d.u32();
     artifact.snapshots = deserializeSnapshots(d);
+    artifact.highWaterLines = d.u64();
+    artifact.evicted = d.boolean();
     d.expectEnd();
     if (const char *error = snapshotSetError(
             artifact.snapshots, artifact.regions.size(),
-            artifact.workload.threads, artifact.capacityLines))
+            artifact.workload.threads, artifact.capacityLines,
+            artifact.highWaterLines, artifact.evicted))
         throw SerializeError(std::string("snapshot artifact: ") + error);
     return artifact;
 }

@@ -123,7 +123,12 @@ struct AnalysisArtifact
     BarrierPointAnalysis analysis;
 };
 
-/** Output of MRU capture for one (workload, capture-capacity) pair. */
+/**
+ * Output of one MRU capture (captureMru()) and the tracker facts that
+ * decide which capture capacities it serves. The defaults of the last
+ * two members describe a capture that filled and evicted: it serves
+ * capacityLines alone.
+ */
 struct SnapshotArtifact
 {
     WorkloadSpec workload;
@@ -136,6 +141,21 @@ struct SnapshotArtifact
      */
     std::vector<uint32_t> regions;
     MruSnapshotSet snapshots;    ///< indexed like regions
+    /** MruCapture::highWaterLines: no list is longer. */
+    uint64_t highWaterLines = capacityLines;
+    bool evicted = true;         ///< MruCapture::evicted
+
+    /**
+     * Whether these lists are exactly what a capture at
+     * @p capacity_lines (and privateLines) would have produced: at the
+     * same capacity, or at any capacity from the high-water mark up
+     * when no tracker evicted.
+     */
+    bool serves(uint64_t capacity_lines) const
+    {
+        return capacity_lines == capacityLines ||
+               (!evicted && capacity_lines >= highWaterLines);
+    }
 };
 
 /** Output of `bp simulate` / `bp reference`: per-region stats. */
@@ -157,7 +177,8 @@ void saveArtifact(const std::string &path, const RunResultArtifact &artifact);
 /**
  * Each loader throws SerializeError on any malformed input. A snapshot
  * artifact must also pass snapshotSetError() (pipeline.h) against its
- * own regions, workload threads and capacityLines.
+ * own regions, workload threads, capacityLines, highWaterLines and
+ * evicted.
  */
 ProfileArtifact loadProfileArtifact(const std::string &path);
 AnalysisArtifact loadAnalysisArtifact(const std::string &path);

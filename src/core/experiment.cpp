@@ -1,5 +1,6 @@
 #include "src/core/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -103,12 +104,6 @@ Experiment::Experiment(std::unique_ptr<Workload> owned,
       stem_(sanitizeName(spec_.name) + "-" + hex16(spec_.hash()))
 {}
 
-Experiment::SnapshotKey
-Experiment::snapshotKey(const MachineConfig &machine)
-{
-    return {mruCapacityLines(machine), mruPrivateLines(machine)};
-}
-
 std::string
 Experiment::machineKey(const MachineConfig &machine)
 {
@@ -153,14 +148,6 @@ Experiment::analysisPath() const
 {
     return artifactPath(stem_ + "-o" + hex16(optionsHash_) +
                         ".analysis.bp");
-}
-
-std::string
-Experiment::snapshotPath(const SnapshotKey &key) const
-{
-    return artifactPath(stem_ + "-o" + hex16(optionsHash_) + "-c" +
-                        std::to_string(key.first) + "x" +
-                        std::to_string(key.second) + ".snapshots.bp");
 }
 
 std::string
@@ -371,76 +358,144 @@ Experiment::seedAnalysis(BarrierPointAnalysis analysis)
 
 // ------------------------------------------------------------ snapshots
 
-bool
-Experiment::tryLoadSnapshots(const std::string &path,
-                             const SnapshotKey &key)
+std::string
+Experiment::snapshotPath(uint64_t private_lines, bool evicted,
+                         uint64_t capacity_lines) const
+{
+    std::string leaf = stem_ + "-o" + hex16(optionsHash_) + "-p" +
+                       std::to_string(private_lines);
+    if (evicted)
+        leaf += "-c" + std::to_string(capacity_lines);
+    return artifactPath(leaf + ".snapshots.bp");
+}
+
+std::optional<SnapshotArtifact>
+Experiment::tryLoadSnapshots(const std::string &path, uint64_t private_lines)
 {
     if (!fileExists(path))
-        return false;
+        return std::nullopt;
     const std::vector<uint32_t> regions = analysis().pointRegions();
     try {
         SnapshotArtifact artifact = loadSnapshotArtifact(path);
         if (artifact.workload != spec_ ||
-            artifact.capacityLines != key.first ||
-            artifact.privateLines != key.second ||
+            artifact.privateLines != private_lines ||
             artifact.regions != regions) {
             warn("snapshot artifact %s was captured for a different "
                  "analysis or machine; recapturing",
                  path.c_str());
-            return false;
+            return std::nullopt;
         }
-        snapshots_[key] = std::move(artifact.snapshots);
-        return true;
+        return artifact;
     } catch (const SerializeError &error) {
         warn("snapshot artifact %s is unreadable (%s); recapturing",
              path.c_str(), error.what());
-        return false;
+        return std::nullopt;
     }
+}
+
+const SnapshotArtifact *
+Experiment::findCapture(const MachineConfig &machine) const
+{
+    const uint64_t capacity = mruCapacityLines(machine);
+    const uint64_t private_lines = mruPrivateLines(machine);
+    // A capture at this very capacity first: it may be a seed, which
+    // must win over a shared capture.
+    const auto exact = snapshots_.find({capacity, private_lines});
+    if (exact != snapshots_.end())
+        return &exact->second;
+    for (const auto &[key, artifact] : snapshots_) {
+        if (key.second == private_lines && artifact.serves(capacity))
+            return &artifact;
+    }
+    return nullptr;
+}
+
+const SnapshotArtifact &
+Experiment::capture(const MachineConfig &machine)
+{
+    if (const SnapshotArtifact *hit = findCapture(machine))
+        return *hit;
+    const uint64_t capacity = mruCapacityLines(machine);
+    const uint64_t private_lines = mruPrivateLines(machine);
+    const bool persist = !seeded_ && !config_.artifactDir.empty();
+    if (persist) {
+        // The shared capture first, then one that serves only this
+        // capacity.
+        for (const bool evicted : {false, true}) {
+            std::optional<SnapshotArtifact> loaded = tryLoadSnapshots(
+                snapshotPath(private_lines, evicted, capacity),
+                private_lines);
+            if (loaded) {
+                const SnapshotKey key{loaded->capacityLines, private_lines};
+                snapshots_.try_emplace(key, *std::move(loaded));
+            }
+            if (const SnapshotArtifact *hit = findCapture(machine))
+                return *hit;
+        }
+    }
+
+    std::vector<uint32_t> regions = analysis().pointRegions();
+    MruCapture fresh =
+        captureMru(*workload_, regions, capacity, private_lines);
+    const SnapshotArtifact &stored =
+        snapshots_
+            .emplace(SnapshotKey{capacity, private_lines},
+                     SnapshotArtifact{spec_, capacity, private_lines,
+                                      std::move(regions),
+                                      std::move(fresh.snapshots),
+                                      fresh.highWaterLines, fresh.evicted})
+            .first->second;
+    if (persist) {
+        ensureArtifactDir();
+        saveArtifact(snapshotPath(private_lines, stored.evicted, capacity),
+                     stored);
+    }
+    return stored;
 }
 
 const MruSnapshotSet &
 Experiment::snapshots(const MachineConfig &machine)
 {
-    const SnapshotKey key = snapshotKey(machine);
-    auto it = snapshots_.find(key);
-    if (it != snapshots_.end())
-        return it->second;
-    const std::string path = snapshotPath(key);
-    if (!seeded_ && !path.empty() && tryLoadSnapshots(path, key))
-        return snapshots_.at(key);
-
-    snapshots_[key] =
-        captureAnalysisSnapshots(*workload_, machine, analysis());
-    if (!seeded_ && !path.empty()) {
-        ensureArtifactDir();
-        saveSnapshots(path, key);
-    }
-    return snapshots_.at(key);
+    return capture(machine).snapshots;
 }
 
 void
-Experiment::saveSnapshots(const std::string &path, const SnapshotKey &key)
+Experiment::adoptSnapshots(const MachineConfig &machine,
+                           SnapshotArtifact artifact)
 {
-    SnapshotArtifact artifact;
-    artifact.workload = spec_;
-    artifact.capacityLines = key.first;
-    artifact.privateLines = key.second;
-    artifact.regions = analysis().pointRegions();
-    saveLending(path, artifact, snapshots_.at(key),
-                &SnapshotArtifact::snapshots);
+    // Every capture this one replaces for the machine goes, so the
+    // seed is what simulate() replays.
+    const uint64_t capacity = mruCapacityLines(machine);
+    const uint64_t private_lines = mruPrivateLines(machine);
+    std::erase_if(snapshots_, [&](const auto &entry) {
+        return entry.first.second == private_lines &&
+               entry.second.serves(capacity);
+    });
+    snapshots_.insert_or_assign(
+        SnapshotKey{artifact.capacityLines, private_lines},
+        std::move(artifact));
+    // Adopted external data: drop results derived from any previous
+    // snapshots and stop exchanging derivatives with the artifact
+    // cache.
+    results_.clear();
+    seeded_ = true;
 }
 
 bool
 Experiment::trySeedSnapshots(const MachineConfig &machine,
                              const std::string &path)
 {
-    if (!tryLoadSnapshots(path, snapshotKey(machine)))
+    std::optional<SnapshotArtifact> loaded =
+        tryLoadSnapshots(path, mruPrivateLines(machine));
+    if (!loaded)
         return false;
-    // Adopted external data: same contract as the other seeds — drop
-    // results derived from any previous snapshots and stop exchanging
-    // derivatives with the artifact cache.
-    results_.clear();
-    seeded_ = true;
+    if (!loaded->serves(mruCapacityLines(machine))) {
+        warn("snapshot artifact %s was captured at a capacity that does "
+             "not serve machine %s; recapturing",
+             path.c_str(), machine.name.c_str());
+        return false;
+    }
+    adoptSnapshots(machine, *std::move(loaded));
     return true;
 }
 
@@ -450,17 +505,17 @@ Experiment::seedSnapshots(const MachineConfig &machine,
 {
     // The meaning check a snapshot artifact passes on load: seeding is
     // the one way an externally built set reaches the simulator.
+    const uint64_t capacity = mruCapacityLines(machine);
     if (const char *error = snapshotSetError(
             snapshots, analysis().points.size(), workload_->threadCount(),
-            mruCapacityLines(machine)))
+            capacity, capacity, true))
         fatal("seeded snapshot set is not a capture of this analysis on "
               "machine %s: %s",
               machine.name.c_str(), error);
-    // Results simulated with a previously cached set for this
-    // capacity no longer describe what a fresh simulate() would do.
-    results_.clear();
-    snapshots_[snapshotKey(machine)] = std::move(snapshots);
-    seeded_ = true;
+    adoptSnapshots(machine,
+                   SnapshotArtifact{spec_, capacity, mruPrivateLines(machine),
+                                    analysis().pointRegions(),
+                                    std::move(snapshots)});
 }
 
 // -------------------------------------------------------------- exports
@@ -483,8 +538,7 @@ void
 Experiment::exportSnapshots(const MachineConfig &machine,
                             const std::string &path)
 {
-    snapshots(machine);
-    saveSnapshots(path, snapshotKey(machine));
+    saveArtifact(path, capture(machine));
 }
 
 // ----------------------------------------------------------- simulation
@@ -574,25 +628,36 @@ Experiment::simulateMissing(std::span<const MachineConfig> machines,
         if (!seeded_ && !path.empty() &&
             tryLoadResult(path, key, machine, policy))
             continue;
-        pending.push_back({&machine, key, nullptr});
+        pending.push_back({&machine, key});
     }
     if (pending.empty())
         return;
 
     const BarrierPointAnalysis &a = analysis();
-    // Warmup capture is inherently serial; do it up front (one set per
-    // distinct capture capacity, shared across machines) so the
-    // fan-out below only reads.
+    // Warmup capture is inherently serial; do it up front so the
+    // fan-out below only reads. The largest capacity goes first: a
+    // capture that never evicts serves every smaller machine too.
     if (policy == WarmupPolicy::MruReplay) {
+        std::vector<Pending *> by_capacity;
         for (Pending &p : pending)
-            p.snapshots = &snapshots(*p.machine);
+            by_capacity.push_back(&p);
+        std::stable_sort(by_capacity.begin(), by_capacity.end(),
+                         [](const Pending *x, const Pending *y) {
+                             return mruCapacityLines(*x->machine) >
+                                    mruCapacityLines(*y->machine);
+                         });
+        for (Pending *p : by_capacity)
+            p->snapshots = &snapshots(*p->machine);
     }
 
     // One fan-out over every (machine, barrierpoint) pair on the
     // shared pool, so short per-machine tails overlap.
     std::vector<MachineJob> jobs;
-    for (const Pending &p : pending)
-        jobs.push_back({p.machine, p.snapshots});
+    for (const Pending &p : pending) {
+        jobs.push_back({p.machine, p.snapshots,
+                        mruLlcDirtyWindow(mruCapacityLines(*p.machine),
+                                          workload_->threadCount())});
+    }
     auto stats = simulateMachines(*workload_, a, jobs, exec_);
     for (size_t mi = 0; mi < pending.size(); ++mi) {
         storeResult(pending[mi].key, *pending[mi].machine, policy,

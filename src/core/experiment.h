@@ -25,9 +25,11 @@
  * are bit-identical to calling the pipeline.h kernels directly
  * (doubles round-trip as IEEE-754 bit images).
  *
- * simulate() and the batched sweep() fan out on the shared pool;
- * machines with equal MRU capture capacities share snapshots
- * automatically. Experiment is not thread-safe: drive one instance
+ * simulate() and the batched sweep() fan out on the shared pool.
+ * One MRU capture serves every machine with its private-cache size
+ * whose capacity the capture provably covers (SnapshotArtifact::
+ * serves); each machine's LLC-dirty window is applied at replay.
+ * Experiment is not thread-safe: drive one instance
  * from one thread and let the stages parallelize internally. The
  * stage memos are unguarded on purpose — every stage returns to the
  * driving thread before memoizing — and two *processes* may share an
@@ -124,9 +126,13 @@ class Experiment
     const BarrierPointAnalysis &analysis();
 
     /**
-     * Stage 3: MRU warmup snapshots at the barrierpoints, sized for
-     * @p machine. Machines with equal capture capacities (e.g. equal
-     * LLC size and socket count) share one snapshot set.
+     * Stage 3: the MRU warmup capture at the barrierpoints that serves
+     * @p machine. Its llcDirty bits are unwindowed: simulate() replays
+     * it within mruLlcDirtyWindow(mruCapacityLines(machine), threads).
+     * One capture serves every machine of the same private-cache size
+     * whose capture capacity is its own, or, when no tracker evicted,
+     * at least its high-water mark; so machines differing only in LLC
+     * size or socket count usually share one set.
      */
     const MruSnapshotSet &snapshots(const MachineConfig &machine);
 
@@ -148,7 +154,8 @@ class Experiment
      * (machine, barrierpoint) pairs out on the shared pool at once —
      * results are identical to calling simulate() per machine, but
      * short per-machine tails no longer serialize. Snapshots are
-     * captured once per distinct capture capacity and shared.
+     * captured for the largest capture capacity first, so that one
+     * capture can serve the smaller machines too.
      * Already-memoized machines are returned from cache.
      */
     std::vector<SimulationResult> sweep(
@@ -174,6 +181,8 @@ class Experiment
      * belong to this workload is fatal(): profiles or an analysis of
      * another region count, or a snapshot set that fails
      * snapshotSetError() for this analysis, thread count and machine.
+     * A seeded snapshot set serves @p machine's capture capacity alone
+     * and replays within its LLC-dirty window, like any capture.
      */
     void seedProfiles(std::vector<RegionProfile> profiles);
     void seedAnalysis(BarrierPointAnalysis analysis);
@@ -183,8 +192,9 @@ class Experiment
     /**
      * Hydrate the snapshot stage for @p machine from a snapshot
      * artifact file, applying the same validation as the internal
-     * artifact cache (workload spec, capture capacities, barrierpoint
-     * regions). @return true when the file matched and was adopted;
+     * artifact cache (workload spec, private-cache size, barrierpoint
+     * regions, and a capture that serves the machine's capacity).
+     * @return true when the file matched and was adopted;
      * false (with a warning for mismatches) when snapshots(machine)
      * should capture afresh — how `bp simulate --snapshots FILE`
      * reuses a user-named cache.
@@ -205,7 +215,8 @@ class Experiment
                          const std::string &path);
 
   private:
-    using SnapshotKey = std::pair<uint64_t, uint64_t>;  // capacity, private
+    /** A capture's (capacityLines, privateLines). */
+    using SnapshotKey = std::pair<uint64_t, uint64_t>;
     using ResultKey = std::pair<std::string, int>;  // machineKey, policy
 
     /** The one constructor body: owns @p owned when non-null, else
@@ -213,7 +224,6 @@ class Experiment
     Experiment(std::unique_ptr<Workload> owned, const Workload *borrowed,
                Config config, ExecutionContext exec);
 
-    static SnapshotKey snapshotKey(const MachineConfig &machine);
     static ResultKey resultKey(const MachineConfig &machine,
                                WarmupPolicy policy);
 
@@ -233,7 +243,10 @@ class Experiment
     std::string artifactPath(const std::string &leaf) const;
     std::string profilePath() const;
     std::string analysisPath() const;
-    std::string snapshotPath(const SnapshotKey &key) const;
+    /** A capture that evicted serves @p capacity_lines alone and is
+     *  named by it; any other is shared by every capacity it serves. */
+    std::string snapshotPath(uint64_t private_lines, bool evicted,
+                             uint64_t capacity_lines) const;
     std::string resultPath(const MachineConfig &machine,
                            WarmupPolicy policy) const;
     std::string referencePath(const MachineConfig &machine) const;
@@ -247,11 +260,25 @@ class Experiment
     /** Write a memoized stage to @p path (artifacts.h format). */
     void saveProfiles(const std::string &path);
     void saveAnalysis(const std::string &path);
-    void saveSnapshots(const std::string &path, const SnapshotKey &key);
 
     bool tryLoadProfiles(const std::string &path);
     bool tryLoadAnalysis(const std::string &path);
-    bool tryLoadSnapshots(const std::string &path, const SnapshotKey &key);
+    /** The capture in @p path, if it belongs to this analysis and
+     *  @p private_lines. */
+    std::optional<SnapshotArtifact> tryLoadSnapshots(
+        const std::string &path, uint64_t private_lines);
+
+    /** The memoized capture serving @p machine, or nullptr. */
+    const SnapshotArtifact *findCapture(const MachineConfig &machine) const;
+
+    /** Stage 3 with the capture's facts: memo, then artifacts, then a
+     *  fresh captureMru() at the machine's capacity. */
+    const SnapshotArtifact &capture(const MachineConfig &machine);
+
+    /** Adopt an external capture for @p machine as a seed. */
+    void adoptSnapshots(const MachineConfig &machine,
+                        SnapshotArtifact artifact);
+
     bool tryLoadResult(const std::string &path, const ResultKey &key,
                        const MachineConfig &machine, WarmupPolicy policy);
     bool tryLoadReference(const std::string &path,
@@ -290,7 +317,7 @@ class Experiment
 
     std::optional<std::vector<RegionProfile>> profiles_;
     std::optional<BarrierPointAnalysis> analysis_;
-    std::map<SnapshotKey, MruSnapshotSet> snapshots_;
+    std::map<SnapshotKey, SnapshotArtifact> snapshots_;
     std::map<ResultKey, SimulationResult> results_;
     std::map<std::string, RunResult> references_;
 };

@@ -146,8 +146,14 @@ runReference(const Workload &workload, const MachineConfig &machine)
 
 const char *
 snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
-                 unsigned threads, uint64_t capacity_lines)
+                 unsigned threads, uint64_t capacity_lines,
+                 uint64_t high_water_lines, bool evicted)
 {
+    if (high_water_lines > capacity_lines)
+        return "high-water mark above the capture capacity";
+    // A tracker evicts only from a full main list.
+    if (evicted && high_water_lines != capacity_lines)
+        return "capture evicted without filling its capacity";
     if (snapshots.size() != points)
         return "snapshot count differs from the barrierpoint count";
     FlatMap<bool> seen;
@@ -155,8 +161,9 @@ snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
         if (per_core.size() != threads)
             return "per-core list count differs from the thread count";
         for (const auto &entries : per_core) {
-            if (entries.size() > capacity_lines)
-                return "per-core list longer than the capture capacity";
+            if (entries.size() > high_water_lines)
+                return "per-core list longer than the capture's high-water "
+                       "mark";
             seen.clear();
             seen.reserve(entries.size());
             for (const MruEntry &entry : entries) {
@@ -178,12 +185,13 @@ namespace {
  * workloads pay only for the CoreSet capacity tier they need).
  */
 template <unsigned Width>
-MruSnapshotSet
-captureMruSnapshotsWide(const Workload &workload,
-                        const std::vector<uint32_t> &regions,
-                        uint64_t capacity_lines, uint64_t private_lines)
+MruCapture
+captureMruWide(const Workload &workload, const std::vector<uint32_t> &regions,
+               uint64_t capacity_lines, uint64_t private_lines)
 {
-    MruSnapshotSet snapshots(regions.size());
+    MruCapture capture;
+    MruSnapshotSet &snapshots = capture.snapshots;
+    snapshots.resize(regions.size());
 
     const uint32_t last =
         *std::max_element(regions.begin(), regions.end());
@@ -214,16 +222,12 @@ captureMruSnapshotsWide(const Workload &workload,
     };
     FlatMap<LineCoherence> coherence;
 
-    // Only lines plausibly still resident in the shared LLC replay a
-    // dirty LLC copy; per core that is roughly an equal share.
-    const uint64_t llc_dirty_window =
-        std::max<uint64_t>(1, capacity_lines / threads);
-
+    // Unwindowed: each machine's mruLlcDirtyWindow() applies later.
     const auto snapshot_all = [&]() {
         std::vector<std::vector<MruEntry>> per_core;
         per_core.reserve(threads);
         for (const auto &tracker : trackers)
-            per_core.push_back(tracker.snapshot(llc_dirty_window));
+            per_core.push_back(tracker.snapshot());
         return per_core;
     };
 
@@ -267,34 +271,59 @@ captureMruSnapshotsWide(const Workload &workload,
             }
         }
     }
-    return snapshots;
+    for (const MruTracker &tracker : trackers) {
+        capture.highWaterLines =
+            std::max(capture.highWaterLines, tracker.highWater());
+        capture.evicted = capture.evicted || tracker.evicted();
+    }
+    return capture;
 }
 
 } // namespace
+
+MruCapture
+captureMru(const Workload &workload, const std::vector<uint32_t> &regions,
+           uint64_t capacity_lines, uint64_t private_lines)
+{
+    BP_ASSERT(capacity_lines > 0, "MRU capacity must be positive");
+
+    if (regions.empty())
+        return MruCapture();
+
+    const unsigned threads = workload.threadCount();
+    BP_ASSERT(threads <= kMaxCores,
+              "coherence holder set supports at most kMaxCores threads");
+    if (threads <= 64) {
+        return captureMruWide<64>(workload, regions, capacity_lines,
+                                  private_lines);
+    }
+    if (threads <= 256) {
+        return captureMruWide<256>(workload, regions, capacity_lines,
+                                   private_lines);
+    }
+    return captureMruWide<kMaxCores>(workload, regions, capacity_lines,
+                                     private_lines);
+}
+
+void
+applyLlcDirtyWindow(MruSnapshotSet &snapshots, uint64_t window)
+{
+    for (auto &per_core : snapshots)
+        for (auto &entries : per_core)
+            applyLlcDirtyWindow(entries, window);
+}
 
 MruSnapshotSet
 captureMruSnapshots(const Workload &workload,
                     const std::vector<uint32_t> &regions,
                     uint64_t capacity_lines, uint64_t private_lines)
 {
-    BP_ASSERT(capacity_lines > 0, "MRU capacity must be positive");
-
-    if (regions.empty())
-        return MruSnapshotSet();
-
-    const unsigned threads = workload.threadCount();
-    BP_ASSERT(threads <= kMaxCores,
-              "coherence holder set supports at most kMaxCores threads");
-    if (threads <= 64) {
-        return captureMruSnapshotsWide<64>(workload, regions,
-                                           capacity_lines, private_lines);
-    }
-    if (threads <= 256) {
-        return captureMruSnapshotsWide<256>(workload, regions,
-                                            capacity_lines, private_lines);
-    }
-    return captureMruSnapshotsWide<kMaxCores>(workload, regions,
-                                              capacity_lines, private_lines);
+    MruCapture capture =
+        captureMru(workload, regions, capacity_lines, private_lines);
+    applyLlcDirtyWindow(capture.snapshots,
+                        mruLlcDirtyWindow(capacity_lines,
+                                          workload.threadCount()));
+    return std::move(capture.snapshots);
 }
 
 MruSnapshotSet
@@ -313,12 +342,12 @@ namespace {
 RegionStats
 runBarrierPoint(MultiCoreSim &sim, const Workload &workload,
                 const BarrierPointAnalysis &analysis, size_t point_index,
-                const MruSnapshotSet *snapshots)
+                const MachineJob &job)
 {
     const RegionTrace trace =
         workload.generateRegion(analysis.points[point_index].region);
-    if (snapshots) {
-        sim.warmupReplay((*snapshots)[point_index]);
+    if (job.snapshots) {
+        sim.warmupReplay((*job.snapshots)[point_index], job.llcDirtyWindow);
         sim.trainPredictors(trace);
     }
     return sim.simulateRegion(trace);
@@ -356,8 +385,8 @@ simulateMachines(const Workload &workload,
                     sim.emplace(*jobs[m].machine);
                     sim_job = m;
                 }
-                stats[m][j] = runBarrierPoint(*sim, workload, analysis, j,
-                                              jobs[m].snapshots);
+                stats[m][j] =
+                    runBarrierPoint(*sim, workload, analysis, j, jobs[m]);
             }
         });
     return stats;

@@ -9,7 +9,8 @@
  * One-time, microarchitecture-independent costs:
  *   profileWorkload()     -> per-region BBV/LDV profiles
  *   analyzeProfiles()     -> signatures, clustering, barrierpoints
- *   captureMruSnapshots() -> warmup data at barrierpoint entries
+ *   captureMru()          -> warmup data at barrierpoint entries, for
+ *                            every machine the capture serves
  *
  * Per-simulation costs:
  *   runReference()     -> detailed simulation of every region
@@ -36,6 +37,8 @@
 #ifndef BP_CORE_PIPELINE_H
 #define BP_CORE_PIPELINE_H
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/reconstruction.h"
@@ -147,19 +150,48 @@ mruPrivateLines(const MachineConfig &machine)
 }
 
 /**
- * @return why @p snapshots cannot be an MRU capture at @p points
- * barrierpoints of a @p threads-thread workload with per-core
- * capacity @p capacity_lines, or nullptr. MruTracker::snapshot lists
- * each retained line once, at most the tracker's capacity, with at
- * most one of its two flags; a capture holds one snapshot per point
- * and one list per thread. Snapshot artifacts and
- * Experiment::seedSnapshots both check sets from outside with it.
+ * How far from its MRU end a per-core list replays an LLC-dirty copy,
+ * for a machine whose capture capacity is @p capacity_lines: about
+ * one core's share of the LLC. Older dirty data has likely been
+ * written back by LLC contention already.
  */
-const char *snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
-                             unsigned threads, uint64_t capacity_lines);
+inline uint64_t
+mruLlcDirtyWindow(uint64_t capacity_lines, unsigned threads)
+{
+    return std::max<uint64_t>(1, capacity_lines / threads);
+}
 
 /**
- * Capture per-core MRU snapshots at the start of each listed region.
+ * @return why @p snapshots cannot be an MRU capture at @p points
+ * barrierpoints of a @p threads-thread workload by trackers of
+ * per-core capacity @p capacity_lines that reached @p high_water_lines
+ * and, when @p evicted, dropped a line for capacity; or nullptr.
+ * MruTracker::snapshot lists each retained line once, at most the
+ * high-water mark, with at most one of its two flags; the high-water
+ * mark never exceeds the capacity and reaches it before any eviction;
+ * a capture holds one snapshot per point and one list per thread.
+ * Snapshot artifacts and Experiment::seedSnapshots both check sets
+ * from outside with it.
+ */
+const char *snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
+                             unsigned threads, uint64_t capacity_lines,
+                             uint64_t high_water_lines, bool evicted);
+
+/**
+ * One MRU capture with *unwindowed* llcDirty bits: the lists every
+ * tracker capacity it serves would have produced (see MruTracker),
+ * before any machine's mruLlcDirtyWindow() is applied.
+ */
+struct MruCapture
+{
+    MruSnapshotSet snapshots;
+    uint64_t highWaterLines = 0;  ///< the largest tracker high-water mark
+    bool evicted = false;         ///< some tracker evicted a line
+};
+
+/**
+ * The one capture loop: per-core MRU snapshots at the start of each
+ * listed region.
  *
  * @param workload        the application
  * @param regions         region indices wanting warmup data (sorted
@@ -169,7 +201,19 @@ const char *snapshotSetError(const MruSnapshotSet &snapshots, size_t points,
  * @param private_lines   private-cache capacity for the dirtiness
  *                        filter (see MruTracker)
  * @return one snapshot (per-core entry lists, LRU->MRU) per requested
- *         region, keyed by position in @p regions
+ *         region, keyed by position in @p regions, with the trackers'
+ *         high-water mark and eviction fact
+ */
+MruCapture captureMru(const Workload &workload,
+                      const std::vector<uint32_t> &regions,
+                      uint64_t capacity_lines, uint64_t private_lines);
+
+/** applyLlcDirtyWindow() on every list of a raw capture. */
+void applyLlcDirtyWindow(MruSnapshotSet &snapshots, uint64_t window);
+
+/**
+ * captureMru() windowed for one machine: its snapshots with
+ * mruLlcDirtyWindow(capacity_lines, workload threads) applied.
  */
 MruSnapshotSet captureMruSnapshots(
     const Workload &workload, const std::vector<uint32_t> &regions,
@@ -177,9 +221,9 @@ MruSnapshotSet captureMruSnapshots(
 
 /**
  * Capture MRU snapshots at every barrierpoint of @p analysis, sized
- * for @p machine: the warmup data a MruReplay simulation replays, and
- * the kernel of Experiment's snapshot stage, which persists it
- * through core/artifacts.h.
+ * and windowed for @p machine: exactly what a MruReplay simulation of
+ * that machine replays. Experiment's snapshot stage instead keeps one
+ * raw captureMru() for every machine it serves and windows at replay.
  */
 MruSnapshotSet captureAnalysisSnapshots(const Workload &workload,
                                         const MachineConfig &machine,
@@ -192,6 +236,9 @@ struct MachineJob
     /** nullptr: start cold. Otherwise indexed like analysis.points,
      *  with at most one list per core of the machine. */
     const MruSnapshotSet *snapshots;
+    /** Passed to MultiCoreSim::warmupReplay: the machine's
+     *  mruLlcDirtyWindow() when snapshots hold a raw capture. */
+    uint64_t llcDirtyWindow = UINT64_MAX;
 };
 
 /**
@@ -200,8 +247,9 @@ struct MachineJob
  * short per-machine tails overlap on a multi-executor @p exec.
  *
  * Every barrierpoint starts on a fresh machine. With snapshots, each
- * point first replays (*jobs[m].snapshots)[j] into the caches and
- * trains the branch predictors on its own trace; without, it starts
+ * point first replays (*jobs[m].snapshots)[j] into the caches, within
+ * jobs[m].llcDirtyWindow, and trains the branch predictors on its own
+ * trace; without, it starts
  * cold. out[m][j] is the stats of analysis.points[j] on machine m and
  * does not depend on the executor count. Each executor keeps one
  * MultiCoreSim and reset()s it between points of the same machine,

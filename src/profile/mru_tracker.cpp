@@ -1,5 +1,7 @@
 #include "src/profile/mru_tracker.h"
 
+#include <algorithm>
+
 #include "src/support/logging.h"
 
 namespace bp {
@@ -31,6 +33,7 @@ MruTracker::access(uint64_t line, bool write, uint64_t hash)
         main_.moveToBack(state->mainIdx);
     } else {
         if (main_.size() >= capacity_) {
+            evicted_ = true;
             const uint64_t victim = main_.popFront();
             LineState *vs = lines_.find(victim);
             vs->mainIdx = IntrusiveLru::kNil;
@@ -40,6 +43,7 @@ MruTracker::access(uint64_t line, bool write, uint64_t hash)
                 state = lines_.find(line, hash);
         }
         state->mainIdx = main_.pushBack(line);
+        highWater_ = std::max<uint64_t>(highWater_, main_.size());
     }
 
     // Private-capacity dirtiness filter. While a line stays within
@@ -91,24 +95,28 @@ MruTracker::downgradeLine(uint64_t line)
 }
 
 std::vector<MruEntry>
-MruTracker::snapshot(uint64_t llc_dirty_window) const
+MruTracker::snapshot() const
 {
     std::vector<MruEntry> entries;
     entries.reserve(main_.size());
-    const uint64_t total = main_.size();
-    uint64_t position = 0;  // 0 = oldest
     main_.forEachOldestFirst([&](uint64_t line) {
-        const uint64_t from_mru = total - 1 - position;
-        ++position;
         const LineState *state = lines_.find(line);
         MruEntry entry{line, false, false};
         if (state->privIdx != IntrusiveLru::kNil && state->privDirty)
             entry.written = true;
-        else if (from_mru < llc_dirty_window && state->llcDirty)
+        else if (state->llcDirty)
             entry.llcDirty = true;
         entries.push_back(entry);
     });
     return entries;
+}
+
+void
+applyLlcDirtyWindow(std::vector<MruEntry> &entries, uint64_t window)
+{
+    const size_t n = entries.size();
+    for (size_t i = 0; n - i > window; ++i)
+        entries[i].llcDirty = false;
 }
 
 void
@@ -117,6 +125,8 @@ MruTracker::reset()
     lines_.clear();
     main_.clear();
     priv_.clear();
+    highWater_ = 0;
+    evicted_ = false;
 }
 
 } // namespace bp

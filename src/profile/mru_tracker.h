@@ -10,6 +10,13 @@
  * state — the paper's extension of No-State-Loss / Live-points to
  * multi-threaded, multi-level hierarchies.
  *
+ * One capture serves every capacity it provably covers. A tracker
+ * records its high-water mark (the longest its main list ever grew)
+ * and whether it ever evicted. A tracker that never evicted passed
+ * through exactly the states a tracker of any capacity at or above
+ * its high-water mark would have, so its lists are that tracker's
+ * lists too; one that evicted is exact for its own capacity only.
+ *
  * Coherence state is reconstructed from two dirtiness levels:
  *   - a line is replayed *privately dirty* (Modified in L1/L2) when
  *     it has stayed within an L2-capacity LRU window of this core's
@@ -85,20 +92,21 @@ class MruTracker
     void downgradeLine(uint64_t line);
 
     /**
-     * @return retained entries in replay order: oldest (LRU) first.
-     *
-     * @param llc_dirty_window only lines within this many most-recent
-     *        positions replay an LLC-dirty copy; older dirty data has
-     *        likely been written back by LLC contention already. Pass
-     *        the per-core share of the simulated LLC.
+     * @return retained entries in replay order: oldest (LRU) first,
+     * with every LLC-dirty flag kept (see applyLlcDirtyWindow()).
      */
-    std::vector<MruEntry> snapshot(
-        uint64_t llc_dirty_window = UINT64_MAX) const;
+    std::vector<MruEntry> snapshot() const;
 
     uint64_t size() const { return main_.size(); }
     uint64_t capacity() const { return capacity_; }
 
-    /** Drop all state. */
+    /** The largest size() reached since construction or reset(). */
+    uint64_t highWater() const { return highWater_; }
+
+    /** True once a new line arrived at a full main list. */
+    bool evicted() const { return evicted_; }
+
+    /** Drop all state, the high-water mark and the eviction fact too. */
     void reset();
 
   private:
@@ -123,11 +131,21 @@ class MruTracker
 
     uint64_t capacity_;
     uint64_t privateCapacity_;
+    uint64_t highWater_ = 0;
+    bool evicted_ = false;
 
     FlatMap<LineState> lines_;
     IntrusiveLru main_;  ///< LLC-sized recency order, front = LRU
     IntrusiveLru priv_;  ///< L2-sized dirtiness filter, front = LRU
 };
+
+/**
+ * Drop the LLC-dirty flag of every entry of @p entries (a snapshot(),
+ * oldest first) farther than @p window positions from the MRU end.
+ * Older dirty data has likely been written back by LLC contention
+ * already; pass the per-core share of the simulated LLC.
+ */
+void applyLlcDirtyWindow(std::vector<MruEntry> &entries, uint64_t window);
 
 } // namespace bp
 

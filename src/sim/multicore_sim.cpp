@@ -59,7 +59,8 @@ MultiCoreSim::simulateRegion(const RegionTrace &region)
 
 void
 MultiCoreSim::warmupReplay(
-    const std::vector<std::vector<MruEntry>> &per_core_lines)
+    const std::vector<std::vector<MruEntry>> &per_core_lines,
+    uint64_t llc_dirty_window)
 {
     BP_ASSERT(per_core_lines.size() <= config_.numCores,
               "more MRU lists than cores to replay them into");
@@ -73,6 +74,9 @@ MultiCoreSim::warmupReplay(
         longest = std::max(longest, per_core_lines[core].size());
 
     for (size_t pos = 0; pos < longest; ++pos) {
+        // Aligned at the MRU end, every list's entry here sits the same
+        // distance from it.
+        const bool in_window = longest - 1 - pos < llc_dirty_window;
         for (unsigned core = 0; core < count; ++core) {
             const auto &list = per_core_lines[core];
             const size_t skip = longest - list.size();
@@ -80,7 +84,7 @@ MultiCoreSim::warmupReplay(
                 continue;
             const MruEntry &entry = list[pos - skip];
             mem_.installFunctional(core, entry.line, entry.written,
-                                   entry.llcDirty);
+                                   entry.llcDirty && in_window);
         }
     }
 }

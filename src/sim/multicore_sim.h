@@ -46,9 +46,14 @@ class MultiCoreSim
      *
      * @param per_core_lines MRU entries per core, LRU -> MRU order;
      *                       at most one list per core
+     * @param llc_dirty_window an entry replays its LLC-dirty copy only
+     *        within this many positions of its list's MRU end (the
+     *        machine's mruLlcDirtyWindow(), core/pipeline.h, for a raw
+     *        capture); no copy of the lists is made
      */
     void warmupReplay(
-        const std::vector<std::vector<MruEntry>> &per_core_lines);
+        const std::vector<std::vector<MruEntry>> &per_core_lines,
+        uint64_t llc_dirty_window = UINT64_MAX);
 
     /**
      * Train every core's branch predictor on a region's control flow

@@ -1,5 +1,8 @@
 #include "src/support/serialize.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -245,16 +248,29 @@ writeArtifactFile(const std::string &path, uint32_t kind,
     appendLe(header, body.size(), 8);
     appendLe(header, fnv1aHash(body.data(), body.size()), 8);
 
-    std::FILE *f = std::fopen(path.c_str(), "wb");
+    // Publish through a temporary in the target's directory: rename()
+    // replaces the target in one step, so another process reading it
+    // sees the old file or the new one, never a partial write. The pid
+    // and a per-process counter keep concurrent writers apart.
+    static std::atomic<uint64_t> next_temp{0};
+    const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                             "." + std::to_string(next_temp++);
+    std::FILE *f = std::fopen(temp.c_str(), "wb");
     if (!f)
-        throw SerializeError("cannot open '" + path + "' for writing");
+        throw SerializeError("cannot open '" + temp + "' for writing");
     const bool ok =
         std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
         (body.empty() ||
          std::fwrite(body.data(), 1, body.size(), f) == body.size());
     const bool closed = std::fclose(f) == 0;
-    if (!ok || !closed)
+    if (!ok || !closed) {
+        std::remove(temp.c_str());
         throw SerializeError("short write to '" + path + "'");
+    }
+    if (std::rename(temp.c_str(), path.c_str()) != 0) {
+        std::remove(temp.c_str());
+        throw SerializeError("cannot replace '" + path + "'");
+    }
 }
 
 Deserializer

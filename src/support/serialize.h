@@ -33,7 +33,7 @@ class SerializeError : public std::runtime_error
 };
 
 /** On-disk artifact format version; bump on any layout change. */
-constexpr uint32_t kArtifactVersion = 4;
+constexpr uint32_t kArtifactVersion = 5;
 
 /** Append-only little-endian byte sink. */
 class Serializer
@@ -226,8 +226,12 @@ bool fileExists(const std::string &path);
 
 /**
  * Frame @p payload with the artifact header (magic, version, kind,
- * payload length, checksum) and write it to @p path atomically-ish
- * (write then flush; throws SerializeError on any I/O failure).
+ * payload length, checksum) and publish it at @p path: written to
+ * `<path>.tmp.<pid>.<n>` in the same directory, then renamed over
+ * @p path, so readers never see a partial file. Throws SerializeError
+ * on any I/O failure, leaving a previous @p path untouched and no
+ * temporary behind. There is no fsync: the rename orders the publish
+ * for other processes, not against a crash of the machine.
  */
 void writeArtifactFile(const std::string &path, uint32_t kind,
                        const Serializer &payload);

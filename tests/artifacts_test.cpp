@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -141,9 +142,14 @@ TEST(ArtifactsTest, SnapshotArtifactRoundTrip)
     artifact.capacityLines = 4096;
     artifact.privateLines = 512;
     artifact.regions = {2, 5, 7};
-    artifact.snapshots = captureMruSnapshots(*workload, artifact.regions,
-                                             artifact.capacityLines,
-                                             artifact.privateLines);
+    MruCapture capture = captureMru(*workload, artifact.regions,
+                                    artifact.capacityLines,
+                                    artifact.privateLines);
+    ASSERT_FALSE(capture.evicted);
+    ASSERT_GT(capture.highWaterLines, 0u);
+    artifact.snapshots = std::move(capture.snapshots);
+    artifact.highWaterLines = capture.highWaterLines;
+    artifact.evicted = capture.evicted;
 
     TempFile file("artifact_snapshots.bp");
     saveArtifact(file.path(), artifact);
@@ -152,6 +158,8 @@ TEST(ArtifactsTest, SnapshotArtifactRoundTrip)
     EXPECT_EQ(loaded.capacityLines, artifact.capacityLines);
     EXPECT_EQ(loaded.privateLines, artifact.privateLines);
     EXPECT_EQ(loaded.regions, artifact.regions);
+    EXPECT_EQ(loaded.highWaterLines, artifact.highWaterLines);
+    EXPECT_FALSE(loaded.evicted);
     ASSERT_EQ(loaded.snapshots.size(), artifact.snapshots.size());
     for (size_t i = 0; i < loaded.snapshots.size(); ++i) {
         ASSERT_EQ(loaded.snapshots[i].size(), artifact.snapshots[i].size());
@@ -199,6 +207,7 @@ TEST(ArtifactsTest, ForgedSnapshotSetsAreRejected)
     valid.privateLines = mruPrivateLines(machine);
     valid.regions = experiment.analysis().pointRegions();
     valid.snapshots = experiment.snapshots(machine);
+    valid.highWaterLines = valid.capacityLines;  // serves its own alone
     ASSERT_FALSE(firstNonEmptyList(valid.snapshots).empty());
 
     TempFile file("forged_snapshots.bp");
@@ -234,6 +243,70 @@ TEST(ArtifactsTest, ForgedSnapshotSetsAreRejected)
         saveArtifact(file.path(), forged);
         EXPECT_THROW(loadSnapshotArtifact(file.path()), SerializeError)
             << what;
+    }
+}
+
+/**
+ * The tracker facts decide which machines a capture serves, so a
+ * forged pair could hand one machine's warmup to another. Each forgery
+ * below is consistent in every other respect; the loader must reject
+ * it for the stated reason.
+ */
+TEST(ArtifactsTest, ForgedCaptureFactsAreRejected)
+{
+    const WorkloadSpec spec = smallSpec();
+    const auto workload = spec.instantiate();
+    const MachineConfig machine = MachineConfig::withCores(spec.threads);
+    SnapshotArtifact valid;
+    valid.workload = spec;
+    valid.capacityLines = mruCapacityLines(machine);
+    valid.privateLines = mruPrivateLines(machine);
+    valid.regions = Experiment(spec).analysis().pointRegions();
+    MruCapture capture = captureMru(*workload, valid.regions,
+                                    valid.capacityLines, valid.privateLines);
+    ASSERT_FALSE(capture.evicted);
+    ASSERT_LT(capture.highWaterLines, valid.capacityLines);
+    valid.snapshots = std::move(capture.snapshots);
+    valid.highWaterLines = capture.highWaterLines;
+    valid.evicted = false;
+
+    size_t longest = 0;
+    for (const auto &per_core : valid.snapshots)
+        for (const auto &list : per_core)
+            longest = std::max(longest, list.size());
+    ASSERT_GT(longest, 0u);
+
+    TempFile file("forged_capture_facts.bp");
+    saveArtifact(file.path(), valid);
+    EXPECT_TRUE(loadSnapshotArtifact(file.path()).serves(
+        valid.highWaterLines));
+
+    using Forgery = void (*)(SnapshotArtifact &, size_t longest);
+    const std::pair<const char *, Forgery> forgeries[] = {
+        {"per-core list longer than the capture's high-water mark",
+         [](SnapshotArtifact &a, size_t longest) {
+             a.highWaterLines = longest - 1;
+         }},
+        {"high-water mark above the capture capacity",
+         [](SnapshotArtifact &a, size_t) {
+             a.highWaterLines = a.capacityLines + 1;
+         }},
+        // A reusable-looking mark (below the capacity) on a capture
+        // that evicted: eviction happens only at a full list.
+        {"capture evicted without filling its capacity",
+         [](SnapshotArtifact &a, size_t) { a.evicted = true; }},
+    };
+    for (const auto &[error, forge] : forgeries) {
+        SnapshotArtifact forged = valid;
+        forge(forged, longest);
+        saveArtifact(file.path(), forged);
+        try {
+            loadSnapshotArtifact(file.path());
+            ADD_FAILURE() << "accepted: " << error;
+        } catch (const SerializeError &e) {
+            EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -401,6 +474,7 @@ TEST(ArtifactsTest, PersistedSnapshotsReproduceInternalCapture)
         artifact.regions.push_back(point.region);
     artifact.snapshots =
         captureAnalysisSnapshots(*workload, machine, analysis);
+    artifact.highWaterLines = artifact.capacityLines;
     TempFile file("chain_snapshots.bp");
     saveArtifact(file.path(), artifact);
     const SnapshotArtifact loaded = loadSnapshotArtifact(file.path());

@@ -373,4 +373,48 @@ TEST(CliTest, ForgedSnapshotsAreRecapturedNotReplayed)
         std::remove(path.c_str());
 }
 
+/**
+ * One capture serves every machine it covers: a two-socket machine
+ * replays the single-socket capture file bit-identically to a fresh
+ * capture of its own, and `bp digest` tells captures apart by the
+ * facts that decide which machines they serve.
+ */
+TEST(CliTest, SnapshotFileServesEveryMachineItCovers)
+{
+    const std::string dir = ::testing::TempDir() + "cli_shared_";
+    const std::string profile = dir + "p.bp", analysis = dir + "a.bp",
+                      snapshots = dir + "s.bp", small = dir + "r2.bp",
+                      fresh = dir + "r16.bp", reused = dir + "r16s.bp";
+    ASSERT_EQ(runCli("profile --workload npb-is --threads 2 --scale 0.05 "
+                     "-o " + profile).exitCode, 0);
+    ASSERT_EQ(runCli("analyze --profile " + profile + " -o " + analysis)
+                  .exitCode, 0);
+    const std::string simulate = "simulate --analysis " + analysis;
+    ASSERT_EQ(runCli(simulate + " --machine 2-core --snapshots " +
+                     snapshots + " -o " + small).exitCode, 0);
+    ASSERT_EQ(runCli(simulate + " --machine 16-core -o " + fresh).exitCode,
+              0);
+    const RunResult run = runCli(simulate + " --machine 16-core --snapshots " +
+                                 snapshots + " -o " + reused);
+    EXPECT_EQ(run.exitCode, 0);
+    EXPECT_NE(run.output.find("reusing MRU snapshots"), std::string::npos)
+        << run.output;
+    EXPECT_EQ(readFile(reused), readFile(fresh));
+
+    const bp::SnapshotArtifact captured = bp::loadSnapshotArtifact(snapshots);
+    ASSERT_FALSE(captured.evicted);
+    ASSERT_LT(captured.highWaterLines, captured.capacityLines);
+    const std::string digest = runCli("digest --artifact " + snapshots).output;
+    bp::SnapshotArtifact higher = captured;
+    ++higher.highWaterLines;  // still consistent, but serves fewer
+    bp::saveArtifact(snapshots, higher);
+    const RunResult changed = runCli("digest --artifact " + snapshots);
+    EXPECT_EQ(changed.exitCode, 0);
+    EXPECT_NE(changed.output, digest);
+
+    for (const std::string &path :
+         {profile, analysis, snapshots, small, fresh, reused})
+        std::remove(path.c_str());
+}
+
 } // namespace

@@ -188,6 +188,78 @@ TEST(ExperimentTest, SnapshotsSharedAcrossEqualCapacityMachines)
     EXPECT_EQ(&snaps2, &snaps4);
 }
 
+TEST(ExperimentTest, OneCaptureServesEveryCapacityItCovers)
+{
+    // 16 cores take two sockets, doubling the capture capacity; the
+    // single-socket capture never evicted, so it serves both.
+    Experiment experiment(smallSpec());
+    const MachineConfig one = MachineConfig::withCores(2);
+    const MachineConfig two = MachineConfig::withCores(16);
+    ASSERT_NE(mruCapacityLines(one), mruCapacityLines(two));
+    const auto &snaps = experiment.snapshots(one);
+    EXPECT_EQ(&experiment.snapshots(two), &snaps);
+
+    // Each machine still replays within its own LLC-dirty window.
+    Experiment fresh(smallSpec());
+    expectStatsBitEqual(experiment.simulate(two).stats,
+                        fresh.simulate(two).stats);
+}
+
+TEST(ExperimentTest, SweepWritesOneSharedSnapshotArtifact)
+{
+    const WorkloadSpec spec = smallSpec();
+    const std::vector<MachineConfig> machines = {
+        MachineConfig::withCores(2), MachineConfig::withCores(16),
+        MachineConfig::withCores(4)};
+    TempDir dir("experiment_shared_snapshots");
+    Experiment::Config config;
+    config.artifactDir = dir.path();
+    {
+        Experiment cold(spec, config);
+        cold.sweep(machines);
+    }
+    const auto files = dir.filesMatching(".snapshots.bp");
+    ASSERT_EQ(files.size(), 1u);
+    // Captured at the largest capacity, which sweep() asks for first.
+    const SnapshotArtifact shared = loadSnapshotArtifact(files[0]);
+    EXPECT_EQ(shared.capacityLines, mruCapacityLines(machines[1]));
+    EXPECT_FALSE(shared.evicted);
+
+    std::map<std::string, std::string> cold_bytes;
+    for (const std::string &path : dir.filesMatching(".bp"))
+        cold_bytes[path] = fileBytes(path);
+    Experiment warm(spec, config);
+    const auto results = warm.sweep(machines);
+    for (size_t i = 0; i < machines.size(); ++i)
+        expectStatsBitEqual(results[i].stats,
+                            Experiment(spec).simulate(machines[i]).stats);
+    // Warm: nothing written anew, nothing rewritten differently.
+    EXPECT_EQ(dir.filesMatching(".bp").size(), cold_bytes.size());
+    for (const auto &[path, bytes] : cold_bytes)
+        EXPECT_EQ(fileBytes(path), bytes) << path;
+}
+
+TEST(ExperimentTest, SeededSnapshotsWinOverASharedCapture)
+{
+    const WorkloadSpec spec = smallSpec();
+    const MachineConfig one = MachineConfig::withCores(2);
+    const MachineConfig two = MachineConfig::withCores(16);
+    Experiment experiment(spec);
+    experiment.snapshots(two);  // a shared capture that serves `one`
+
+    MruSnapshotSet seed = Experiment(spec).snapshots(one);
+    for (auto &per_core : seed)
+        for (auto &list : per_core)
+            if (!list.empty())
+                list.erase(list.begin());  // still a consistent set
+    experiment.seedSnapshots(one, seed);
+    const MruSnapshotSet &got = experiment.snapshots(one);
+    ASSERT_EQ(got.size(), seed.size());
+    for (size_t j = 0; j < seed.size(); ++j)
+        for (size_t c = 0; c < seed[j].size(); ++c)
+            EXPECT_EQ(got[j][c].size(), seed[j][c].size());
+}
+
 TEST(ExperimentTest, ReferenceKeyedByMachineContentNotName)
 {
     // Two configs sharing the name "8-core" but differing in a knob

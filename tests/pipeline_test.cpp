@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "src/core/experiment.h"
 #include "src/support/serialize.h"
 #include "src/support/stats.h"
+#include "src/workloads/registry.h"
 #include "src/workloads/test_workload.h"
 
 namespace bp {
@@ -301,7 +304,9 @@ freshMachinePoint(const Workload &workload, const MachineConfig &machine,
     const RegionTrace trace =
         workload.generateRegion(analysis.points[point].region);
     if (snapshots) {
-        sim.warmupReplay((*snapshots)[point]);
+        sim.warmupReplay((*snapshots)[point],
+                         mruLlcDirtyWindow(mruCapacityLines(machine),
+                                           workload.threadCount()));
         sim.trainPredictors(trace);
     }
     return sim.simulateRegion(trace);
@@ -351,6 +356,124 @@ TEST(PipelineDeathTest, MismatchedSnapshotCountIsCleanlyFatal)
     EXPECT_EXIT(experiment.seedSnapshots(machine, wrong),
                 ::testing::ExitedWithCode(1),
                 "snapshot count differs from the barrierpoint count");
+}
+
+std::vector<uint8_t>
+snapshotBytes(const MruSnapshotSet &set)
+{
+    Serializer s;
+    for (const auto &per_core : set) {
+        s.size(per_core.size());
+        for (const auto &entries : per_core) {
+            s.size(entries.size());
+            for (const MruEntry &entry : entries) {
+                s.u64(entry.line);
+                s.boolean(entry.written);
+                s.boolean(entry.llcDirty);
+            }
+        }
+    }
+    return s.buffer();
+}
+
+/**
+ * The exactness gate of capture sharing, on every registered workload
+ * at 8 threads. One capture serves 8-core and 32-core: windowed for
+ * each, it is byte for byte that machine's own captureAnalysisSnapshots.
+ * A machine whose L3 is too small for the trackers never to evict gets
+ * a capture of its own, persisted under its capacity.
+ */
+TEST(PipelineTest, SharedCaptureEqualsEachMachinesOwnCapture)
+{
+    const MachineConfig eight = MachineConfig::byName("8-core");
+    const MachineConfig wide = MachineConfig::byName("32-core");
+    MachineConfig tiny = eight;
+    tiny.name = "8-core-tiny-l3";
+    tiny.mem.l3.sizeBytes = 64 * 1024;
+    ASSERT_EQ(mruPrivateLines(tiny), mruPrivateLines(eight));
+    ASSERT_LT(mruCapacityLines(eight), mruCapacityLines(wide));
+
+    uint64_t window_dropped = 0;
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        WorkloadSpec spec;
+        spec.name = name;
+        spec.threads = 8;
+        const auto workload = spec.instantiate();
+        const std::string dir =
+            ::testing::TempDir() + "shared_capture_" + name;
+        std::filesystem::remove_all(dir);
+        Experiment::Config config;
+        config.artifactDir = dir;
+        Experiment experiment(spec, config, ExecutionContext(4));
+        const BarrierPointAnalysis &analysis = experiment.analysis();
+
+        // The evicting capture first: it must serve no larger machine.
+        const MruSnapshotSet &small = experiment.snapshots(tiny);
+        const MruSnapshotSet &shared = experiment.snapshots(wide);
+        EXPECT_NE(&small, &shared) << "an evicting capture was shared";
+        EXPECT_EQ(&experiment.snapshots(eight), &shared);
+        for (const MachineConfig *machine : {&eight, &wide}) {
+            MruSnapshotSet view = shared;
+            applyLlcDirtyWindow(view,
+                                mruLlcDirtyWindow(mruCapacityLines(*machine),
+                                                  spec.threads));
+            const MruSnapshotSet own =
+                captureAnalysisSnapshots(*workload, *machine, analysis);
+            EXPECT_EQ(snapshotBytes(view), snapshotBytes(own))
+                << machine->name;
+            if (machine == &eight) {
+                for (size_t j = 0; j < own.size(); ++j)
+                    for (size_t c = 0; c < own[j].size(); ++c)
+                        for (size_t e = 0; e < own[j][c].size(); ++e)
+                            window_dropped += shared[j][c][e].llcDirty &&
+                                              !own[j][c][e].llcDirty;
+                // Replaying the shared capture within the window is
+                // replaying the machine's own windowed capture.
+                const auto direct = simulateMachines(
+                    *workload, analysis, {{machine, &own}},
+                    experiment.execution());
+                const auto &stats = experiment.simulate(*machine).stats;
+                ASSERT_EQ(stats.size(), direct[0].size());
+                for (size_t j = 0; j < stats.size(); ++j) {
+                    Serializer a, b;
+                    stats[j].serialize(a);
+                    direct[0][j].serialize(b);
+                    EXPECT_EQ(a.buffer(), b.buffer()) << "point " << j;
+                }
+            }
+        }
+
+        MruSnapshotSet view = small;
+        applyLlcDirtyWindow(
+            view, mruLlcDirtyWindow(mruCapacityLines(tiny), spec.threads));
+        EXPECT_EQ(snapshotBytes(view),
+                  snapshotBytes(captureAnalysisSnapshots(*workload, tiny,
+                                                         analysis)));
+
+        // Two snapshot artifacts: the shared one, and the evicting
+        // capture named by its capacity.
+        unsigned files = 0;
+        for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+            const std::string path = entry.path().string();
+            if (path.find(".snapshots.bp") == std::string::npos)
+                continue;
+            ++files;
+            const SnapshotArtifact artifact = loadSnapshotArtifact(path);
+            const bool named_by_capacity =
+                path.find("-c" + std::to_string(mruCapacityLines(tiny)) +
+                          ".snapshots.bp") != std::string::npos;
+            EXPECT_EQ(artifact.evicted, named_by_capacity) << path;
+            EXPECT_EQ(artifact.serves(mruCapacityLines(eight)),
+                      !named_by_capacity)
+                << path;
+        }
+        EXPECT_EQ(files, 2u);
+        std::filesystem::remove_all(dir);
+    }
+    // The windows did real work: the test compares more than raw
+    // lists that happen to fit every window.
+    EXPECT_GT(window_dropped, 0u);
 }
 
 } // namespace

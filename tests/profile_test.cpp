@@ -189,7 +189,8 @@ TEST(MruTrackerTest, LlcDirtyWindowSuppressesOldLines)
     for (uint64_t i = 100; i < 130; ++i)
         t.access(i, false);
     // Line 5 is 30 positions from the MRU end; a window of 8 hides it.
-    const auto snap = t.snapshot(8);
+    auto snap = t.snapshot();
+    applyLlcDirtyWindow(snap, 8);
     const auto it = std::find_if(snap.begin(), snap.end(),
                                  [](const MruEntry &e) {
                                      return e.line == 5;
@@ -229,6 +230,60 @@ TEST(MruTrackerTest, RewriteClearsLlcDirtyToPrivate)
     const auto snap = t.snapshot();
     EXPECT_TRUE(snap[0].written);
     EXPECT_FALSE(snap[0].llcDirty);
+}
+
+TEST(MruTrackerTest, HighWaterSurvivesInvalidation)
+{
+    MruTracker t(10);
+    for (uint64_t i = 0; i < 6; ++i)
+        t.access(i, false);
+    EXPECT_EQ(t.highWater(), 6u);
+    t.invalidateLine(0);
+    t.invalidateLine(1);
+    EXPECT_EQ(t.size(), 4u);
+    EXPECT_EQ(t.highWater(), 6u);
+    t.access(0, false);  // back to 5: the mark stays at 6
+    EXPECT_EQ(t.highWater(), 6u);
+    t.access(1, false);
+    t.access(2, false);  // a touch, not a new line
+    EXPECT_EQ(t.highWater(), 6u);
+    t.access(6, false);
+    EXPECT_EQ(t.highWater(), 7u);
+    EXPECT_FALSE(t.evicted());
+}
+
+TEST(MruTrackerTest, EvictedExactlyWhenANewLineMeetsAFullList)
+{
+    MruTracker t(3);
+    t.access(1, false);
+    t.access(2, false);
+    t.access(3, false);
+    EXPECT_EQ(t.highWater(), 3u);
+    EXPECT_FALSE(t.evicted()) << "full, but nothing dropped yet";
+    t.access(1, true);  // re-touch at a full list: no eviction
+    EXPECT_FALSE(t.evicted());
+    t.invalidateLine(2);
+    t.access(4, false);  // new line, but the list had room again
+    EXPECT_FALSE(t.evicted());
+    t.access(5, false);  // new line at a full list
+    EXPECT_TRUE(t.evicted());
+    EXPECT_EQ(t.highWater(), 3u);
+    EXPECT_EQ(t.size(), 3u);
+}
+
+TEST(MruTrackerTest, ResetClearsHighWaterAndEviction)
+{
+    MruTracker t(2);
+    for (uint64_t i = 0; i < 5; ++i)
+        t.access(i, false);
+    ASSERT_TRUE(t.evicted());
+    ASSERT_EQ(t.highWater(), 2u);
+    t.reset();
+    EXPECT_FALSE(t.evicted());
+    EXPECT_EQ(t.highWater(), 0u);
+    t.access(9, false);
+    EXPECT_EQ(t.highWater(), 1u);
+    EXPECT_FALSE(t.evicted());
 }
 
 // -------------------------------------------------------- RegionProfiler

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/support/serialize.h"
 
@@ -127,6 +134,74 @@ TEST(SerializeTest, FileRoundTrip)
     EXPECT_EQ(d.str(), "payload");
     EXPECT_EQ(d.u64(), 42u);
     d.expectEnd();
+}
+
+/** @return the names of the files in @p dir. */
+std::vector<std::string>
+filesIn(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+TEST(SerializeTest, OverwriteLeavesNoTemporary)
+{
+    const std::string dir = ::testing::TempDir() + "serialize_publish";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/artifact.bp";
+    for (uint64_t v : {1u, 2u}) {
+        Serializer s;
+        s.u64(v);
+        writeArtifactFile(path, 7, s);
+    }
+    EXPECT_EQ(filesIn(dir), std::vector<std::string>{"artifact.bp"});
+    EXPECT_EQ(readArtifactFile(path, 7).u64(), 2u);
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A write that fails part-way (here: the file-size limit stops it
+ * after the header) throws, and the artifact it was replacing still
+ * reads back whole, with no temporary left beside it.
+ */
+TEST(SerializeDeathTest, FailedWriteKeepsThePreviousArtifact)
+{
+    const std::string dir = ::testing::TempDir() + "serialize_failed";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/artifact.bp";
+    Serializer small;
+    small.u64(42);
+    writeArtifactFile(path, 7, small);
+
+    EXPECT_EXIT(
+        {
+            // Only this child process is limited.
+            std::signal(SIGXFSZ, SIG_IGN);
+            struct rlimit limit;
+            getrlimit(RLIMIT_FSIZE, &limit);
+            limit.rlim_cur = 4096;
+            setrlimit(RLIMIT_FSIZE, &limit);
+            Serializer big;
+            big.str(std::string(1 << 20, 'x'));
+            bool threw = false;
+            try {
+                writeArtifactFile(path, 7, big);
+            } catch (const SerializeError &) {
+                threw = true;
+            }
+            const bool intact = readArtifactFile(path, 7).u64() == 42;
+            const bool alone =
+                filesIn(dir) == std::vector<std::string>{"artifact.bp"};
+            std::exit(threw && intact && alone ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
+    EXPECT_EQ(readArtifactFile(path, 7).u64(), 42u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SerializeTest, MissingFileThrows)

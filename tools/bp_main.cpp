@@ -526,7 +526,8 @@ cmdSimulate(const Args &args)
         snapshots_reused =
             experiment.trySeedSnapshots(machine, snapshot_path);
         if (snapshots_reused)
-            inform("reusing MRU snapshots from %s", snapshot_path.c_str());
+            std::printf("reusing MRU snapshots from %s\n",
+                        snapshot_path.c_str());
     }
 
     const SimulationResult &run = experiment.simulate(machine, policy);
@@ -534,7 +535,7 @@ cmdSimulate(const Args &args)
     if (policy == WarmupPolicy::MruReplay && !snapshot_path.empty() &&
         !snapshots_reused) {
         experiment.exportSnapshots(machine, snapshot_path);
-        inform("captured MRU snapshots -> %s", snapshot_path.c_str());
+        std::printf("captured MRU snapshots -> %s\n", snapshot_path.c_str());
     }
 
     RunResultArtifact result;
@@ -845,6 +846,9 @@ cmdDigest(const Args &args)
                 }
             }
         }
+        // Which machines the capture serves is part of what it is.
+        s.u64(artifact.highWaterLines);
+        s.boolean(artifact.evicted);
         break;
       }
       case ArtifactKind::RunResult: {
