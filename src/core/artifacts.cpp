@@ -234,7 +234,8 @@ saveArtifact(const std::string &path, const SnapshotArtifact &artifact)
     for (const uint32_t region : artifact.regions)
         s.u32(region);
     serializeSnapshots(s, artifact.snapshots);
-    s.u64(artifact.highWaterLines);
+    s.u64(artifact.evicted ? artifact.capacityLines
+                           : artifact.highWaterLines);
     s.boolean(artifact.evicted);
     writeArtifactFile(path, static_cast<uint32_t>(ArtifactKind::Snapshots),
                       s);

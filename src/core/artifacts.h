@@ -126,8 +126,8 @@ struct AnalysisArtifact
 /**
  * Output of one MRU capture (captureMru()) and the tracker facts that
  * decide which capture capacities it serves. The defaults of the last
- * two members describe a capture that filled and evicted: it serves
- * capacityLines alone.
+ * two members describe a capture that evicted: it serves capacityLines
+ * alone, whatever highWaterLines holds.
  */
 struct SnapshotArtifact
 {
@@ -141,8 +141,12 @@ struct SnapshotArtifact
      */
     std::vector<uint32_t> regions;
     MruSnapshotSet snapshots;    ///< indexed like regions
-    /** MruCapture::highWaterLines: no list is longer. */
-    uint64_t highWaterLines = capacityLines;
+    /**
+     * MruCapture::highWaterLines: no list is longer. Read only when
+     * !evicted; saveArtifact() writes capacityLines in its place for a
+     * capture that evicted, since a tracker evicts only when full.
+     */
+    uint64_t highWaterLines = 0;
     bool evicted = true;         ///< MruCapture::evicted
 
     /**

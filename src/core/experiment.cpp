@@ -634,30 +634,19 @@ Experiment::simulateMissing(std::span<const MachineConfig> machines,
         return;
 
     const BarrierPointAnalysis &a = analysis();
-    // Warmup capture is inherently serial; do it up front so the
-    // fan-out below only reads. The largest capacity goes first: a
-    // capture that never evicts serves every smaller machine too.
+    // Warmup capture is inherently serial; do it up front (one capture
+    // per private-cache size, shared by every machine it serves) so
+    // the fan-out below only reads.
     if (policy == WarmupPolicy::MruReplay) {
-        std::vector<Pending *> by_capacity;
         for (Pending &p : pending)
-            by_capacity.push_back(&p);
-        std::stable_sort(by_capacity.begin(), by_capacity.end(),
-                         [](const Pending *x, const Pending *y) {
-                             return mruCapacityLines(*x->machine) >
-                                    mruCapacityLines(*y->machine);
-                         });
-        for (Pending *p : by_capacity)
-            p->snapshots = &snapshots(*p->machine);
+            p.snapshots = &snapshots(*p.machine);
     }
 
     // One fan-out over every (machine, barrierpoint) pair on the
     // shared pool, so short per-machine tails overlap.
     std::vector<MachineJob> jobs;
-    for (const Pending &p : pending) {
-        jobs.push_back({p.machine, p.snapshots,
-                        mruLlcDirtyWindow(mruCapacityLines(*p.machine),
-                                          workload_->threadCount())});
-    }
+    for (const Pending &p : pending)
+        jobs.push_back({p.machine, p.snapshots});
     auto stats = simulateMachines(*workload_, a, jobs, exec_);
     for (size_t mi = 0; mi < pending.size(); ++mi) {
         storeResult(pending[mi].key, *pending[mi].machine, policy,

@@ -153,9 +153,8 @@ class Experiment
      * Batched design-space sweep: simulate every machine, fanning all
      * (machine, barrierpoint) pairs out on the shared pool at once —
      * results are identical to calling simulate() per machine, but
-     * short per-machine tails no longer serialize. Snapshots are
-     * captured for the largest capture capacity first, so that one
-     * capture can serve the smaller machines too.
+     * short per-machine tails no longer serialize. Machines share
+     * every snapshot capture that serves them (see snapshots()).
      * Already-memoized machines are returned from cache.
      */
     std::vector<SimulationResult> sweep(

@@ -347,7 +347,9 @@ runBarrierPoint(MultiCoreSim &sim, const Workload &workload,
     const RegionTrace trace =
         workload.generateRegion(analysis.points[point_index].region);
     if (job.snapshots) {
-        sim.warmupReplay((*job.snapshots)[point_index], job.llcDirtyWindow);
+        sim.warmupReplay((*job.snapshots)[point_index],
+                         mruLlcDirtyWindow(mruCapacityLines(*job.machine),
+                                           workload.threadCount()));
         sim.trainPredictors(trace);
     }
     return sim.simulateRegion(trace);

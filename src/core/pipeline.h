@@ -234,11 +234,9 @@ struct MachineJob
 {
     const MachineConfig *machine;
     /** nullptr: start cold. Otherwise indexed like analysis.points,
-     *  with at most one list per core of the machine. */
+     *  with at most one list per core of the machine; a raw
+     *  captureMru() set or one already windowed for this machine. */
     const MruSnapshotSet *snapshots;
-    /** Passed to MultiCoreSim::warmupReplay: the machine's
-     *  mruLlcDirtyWindow() when snapshots hold a raw capture. */
-    uint64_t llcDirtyWindow = UINT64_MAX;
 };
 
 /**
@@ -248,9 +246,8 @@ struct MachineJob
  *
  * Every barrierpoint starts on a fresh machine. With snapshots, each
  * point first replays (*jobs[m].snapshots)[j] into the caches, within
- * jobs[m].llcDirtyWindow, and trains the branch predictors on its own
- * trace; without, it starts
- * cold. out[m][j] is the stats of analysis.points[j] on machine m and
+ * the machine's mruLlcDirtyWindow(), and trains the branch predictors
+ * on its own trace; without, it starts cold. out[m][j] is the stats of analysis.points[j] on machine m and
  * does not depend on the executor count. Each executor keeps one
  * MultiCoreSim and reset()s it between points of the same machine,
  * which restores a fresh machine's state without allocating and

@@ -142,14 +142,9 @@ TEST(ArtifactsTest, SnapshotArtifactRoundTrip)
     artifact.capacityLines = 4096;
     artifact.privateLines = 512;
     artifact.regions = {2, 5, 7};
-    MruCapture capture = captureMru(*workload, artifact.regions,
-                                    artifact.capacityLines,
-                                    artifact.privateLines);
-    ASSERT_FALSE(capture.evicted);
-    ASSERT_GT(capture.highWaterLines, 0u);
-    artifact.snapshots = std::move(capture.snapshots);
-    artifact.highWaterLines = capture.highWaterLines;
-    artifact.evicted = capture.evicted;
+    artifact.snapshots = captureMruSnapshots(*workload, artifact.regions,
+                                             artifact.capacityLines,
+                                             artifact.privateLines);
 
     TempFile file("artifact_snapshots.bp");
     saveArtifact(file.path(), artifact);
@@ -158,8 +153,6 @@ TEST(ArtifactsTest, SnapshotArtifactRoundTrip)
     EXPECT_EQ(loaded.capacityLines, artifact.capacityLines);
     EXPECT_EQ(loaded.privateLines, artifact.privateLines);
     EXPECT_EQ(loaded.regions, artifact.regions);
-    EXPECT_EQ(loaded.highWaterLines, artifact.highWaterLines);
-    EXPECT_FALSE(loaded.evicted);
     ASSERT_EQ(loaded.snapshots.size(), artifact.snapshots.size());
     for (size_t i = 0; i < loaded.snapshots.size(); ++i) {
         ASSERT_EQ(loaded.snapshots[i].size(), artifact.snapshots[i].size());
@@ -207,7 +200,6 @@ TEST(ArtifactsTest, ForgedSnapshotSetsAreRejected)
     valid.privateLines = mruPrivateLines(machine);
     valid.regions = experiment.analysis().pointRegions();
     valid.snapshots = experiment.snapshots(machine);
-    valid.highWaterLines = valid.capacityLines;  // serves its own alone
     ASSERT_FALSE(firstNonEmptyList(valid.snapshots).empty());
 
     TempFile file("forged_snapshots.bp");
@@ -278,8 +270,10 @@ TEST(ArtifactsTest, ForgedCaptureFactsAreRejected)
 
     TempFile file("forged_capture_facts.bp");
     saveArtifact(file.path(), valid);
-    EXPECT_TRUE(loadSnapshotArtifact(file.path()).serves(
-        valid.highWaterLines));
+    const SnapshotArtifact loaded = loadSnapshotArtifact(file.path());
+    EXPECT_EQ(loaded.highWaterLines, valid.highWaterLines);
+    EXPECT_FALSE(loaded.evicted);
+    EXPECT_TRUE(loaded.serves(valid.highWaterLines));
 
     using Forgery = void (*)(SnapshotArtifact &, size_t longest);
     const std::pair<const char *, Forgery> forgeries[] = {
@@ -291,15 +285,8 @@ TEST(ArtifactsTest, ForgedCaptureFactsAreRejected)
          [](SnapshotArtifact &a, size_t) {
              a.highWaterLines = a.capacityLines + 1;
          }},
-        // A reusable-looking mark (below the capacity) on a capture
-        // that evicted: eviction happens only at a full list.
-        {"capture evicted without filling its capacity",
-         [](SnapshotArtifact &a, size_t) { a.evicted = true; }},
     };
-    for (const auto &[error, forge] : forgeries) {
-        SnapshotArtifact forged = valid;
-        forge(forged, longest);
-        saveArtifact(file.path(), forged);
+    const auto expectRejected = [&](const char *error) {
         try {
             loadSnapshotArtifact(file.path());
             ADD_FAILURE() << "accepted: " << error;
@@ -307,7 +294,38 @@ TEST(ArtifactsTest, ForgedCaptureFactsAreRejected)
             EXPECT_NE(std::string(e.what()).find(error), std::string::npos)
                 << e.what();
         }
+    };
+    for (const auto &[error, forge] : forgeries) {
+        SnapshotArtifact forged = valid;
+        forge(forged, longest);
+        saveArtifact(file.path(), forged);
+        expectRejected(error);
     }
+
+    // An evicting capture serves its own capacity alone, whatever mark
+    // it holds in memory; saveArtifact writes the capacity as its mark.
+    SnapshotArtifact evicting = valid;
+    evicting.evicted = true;
+    saveArtifact(file.path(), evicting);
+    const SnapshotArtifact reloaded = loadSnapshotArtifact(file.path());
+    EXPECT_EQ(reloaded.highWaterLines, valid.capacityLines);
+    EXPECT_TRUE(reloaded.serves(valid.capacityLines));
+    EXPECT_FALSE(reloaded.serves(valid.highWaterLines));
+
+    // So a reusable-looking mark (below the capacity) beside the
+    // evicted flag can only be forged in the bytes: set the flag, the
+    // payload's last byte, on the valid file and re-frame it. Eviction
+    // happens only at a full list.
+    const auto kind = static_cast<uint32_t>(ArtifactKind::Snapshots);
+    saveArtifact(file.path(), valid);
+    Deserializer payload = readArtifactFile(file.path(), kind);
+    Serializer forged;
+    while (payload.remaining() > 1)
+        forged.u8(payload.u8());
+    ASSERT_FALSE(payload.boolean());
+    forged.boolean(true);
+    writeArtifactFile(file.path(), kind, forged);
+    expectRejected("capture evicted without filling its capacity");
 }
 
 TEST(ArtifactsTest, RunResultArtifactRoundTrip)
@@ -474,7 +492,6 @@ TEST(ArtifactsTest, PersistedSnapshotsReproduceInternalCapture)
         artifact.regions.push_back(point.region);
     artifact.snapshots =
         captureAnalysisSnapshots(*workload, machine, analysis);
-    artifact.highWaterLines = artifact.capacityLines;
     TempFile file("chain_snapshots.bp");
     saveArtifact(file.path(), artifact);
     const SnapshotArtifact loaded = loadSnapshotArtifact(file.path());
